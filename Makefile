@@ -68,9 +68,8 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_experiments.json
 
 # Machine-readable benchmark of the compute kernels (see DESIGN.md §13):
-# tiled matmul GFLOP/s by shape in both precisions, batched forward and
-# backprop ns-per-sample, and the f32-vs-f64 inference speedup, written to
-# BENCH_kernels.json.
+# tiled matmul GFLOP/s by shape and batched forward and backprop
+# ns-per-sample, written to BENCH_kernels.json.
 bench-kernels:
 	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
 

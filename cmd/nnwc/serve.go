@@ -36,7 +36,6 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "per-tenant in-flight request budget; beyond it requests shed with 429 (0 = uncapped)")
 	latencyBudget := fs.Duration("latency-budget", 0, "per-request latency budget; requests that cannot finish inside it shed with 429 (0 = off)")
 	perModel := fs.Bool("per-model-batching", false, "coalesce each model alone instead of across tenants sharing a shape")
-	f32 := fs.Bool("f32", false, "serve through the quantized float32 inference kernels (models still train in float64)")
 	promoteHMRE := fs.Float64("promote-hmre", 0.10, "auto-promote a canary whose rolling live-traffic HMRE stays at or below this")
 	demoteHMRE := fs.Float64("demote-hmre", 0.25, "auto-rollback a live model whose rolling HMRE exceeds this")
 	minObs := fs.Int("min-observations", 32, "observations a rolling window needs before the canary policy acts")
@@ -67,7 +66,6 @@ func cmdServe(args []string) error {
 		MaxInflight:      *maxInflight,
 		LatencyBudget:    *latencyBudget,
 		PerModelBatching: *perModel,
-		Float32:          *f32,
 		Deploy: deploy.Config{
 			PromoteHMRE:     *promoteHMRE,
 			DemoteHMRE:      *demoteHMRE,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"nnwc/internal/nn"
@@ -350,12 +351,28 @@ func TestModelSaveLoadIdentityScalers(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsCorrupt pins LoadModel's validation. The scaler
+// width cases used to load and then panic on the first Predict, which a
+// server turned into a 500 on every request to the tenant.
 func TestLoadModelRejectsCorrupt(t *testing.T) {
+	// withScalers is a valid 2→1 model document with the given scalers.
+	withScalers := func(x, y string) string {
+		return `{"feature_names":["a","b"],"target_names":["y"],"x_scaler":` + x + `,"y_scaler":` + y +
+			`,"network":{"layers":[{"inputs":2,"outputs":1,"activation":"tanh","w":[[1,2]],"b":[0]}]}}`
+	}
 	cases := []string{
 		``,
 		`{}`,
 		`{"feature_names":["a"],"target_names":["y"],"x_scaler":{"kind":"what"},"y_scaler":{"kind":"identity"},"network":{"layers":[]}}`,
 		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"identity","dims":2},"y_scaler":{"kind":"identity","dims":1},"network":{"layers":[{"inputs":3,"outputs":1,"activation":"tanh","w":[[1,2,3]],"b":[0]}]}}`,
+		withScalers(`{"kind":"standardizer","mean":[0],"std":[1]}`, `{"kind":"identity","dims":1}`),
+		withScalers(`{"kind":"identity","dims":2}`, `{"kind":"standardizer","mean":[0,0],"std":[1,1]}`),
+		withScalers(`{"kind":"identity","dims":3}`, `{"kind":"identity","dims":1}`),
+		withScalers(`{"kind":"identity","dims":2}`, `{"kind":"identity","dims":2}`),
+		withScalers(`{"kind":"standardizer","mean":[0,0],"std":[1,0]}`, `{"kind":"identity","dims":1}`),
+	}
+	if _, err := LoadModel(strings.NewReader(withScalers(`{"kind":"identity"}`, `{"kind":"identity","dims":1}`))); err != nil {
+		t.Fatalf("identity scaler without a recorded width rejected: %v", err)
 	}
 	for i, c := range cases {
 		if _, err := LoadModel(bytes.NewReader([]byte(c))); err == nil {

@@ -22,15 +22,11 @@ type modelJSON struct {
 	YScaler      scalerJSON `json:"y_scaler"`
 	// FeatureMin/FeatureMax carry the training envelope when the model
 	// recorded one; absent in artifacts written before the field existed.
-	FeatureMin []float64 `json:"feature_min,omitempty"`
-	FeatureMax []float64 `json:"feature_max,omitempty"`
-	// ParamsF32 is the float32 quantization of the network parameters,
-	// flat in nn.Network.Params layout. Written at persist time (train in
-	// f64, quantize once); absent in artifacts written before the field
-	// existed. Go's JSON encoding of float32 is shortest-round-trip, so
-	// the quantized values survive save/load bit-exactly.
-	ParamsF32 []float32       `json:"params_f32,omitempty"`
-	Network   json.RawMessage `json:"network"`
+	// Keys this struct does not name, such as the quantized float32
+	// parameter vector older artifacts carry, are ignored on load.
+	FeatureMin []float64       `json:"feature_min,omitempty"`
+	FeatureMax []float64       `json:"feature_max,omitempty"`
+	Network    json.RawMessage `json:"network"`
 }
 
 type scalerJSON struct {
@@ -53,20 +49,12 @@ func encodeScaler(s preprocess.Scaler) (scalerJSON, error) {
 func decodeScaler(sj scalerJSON) (preprocess.Scaler, error) {
 	switch sj.Kind {
 	case "standardizer":
-		if len(sj.Mean) == 0 || len(sj.Mean) != len(sj.Std) {
-			return nil, fmt.Errorf("core: malformed standardizer parameters")
-		}
-		// Rebuild by fitting on two rows that reproduce the recorded
-		// mean and std exactly: mean±std has mean `mean` and population
-		// std `std`.
-		rows := [][]float64{make([]float64, len(sj.Mean)), make([]float64, len(sj.Mean))}
-		for j := range sj.Mean {
-			rows[0][j] = sj.Mean[j] - sj.Std[j]
-			rows[1][j] = sj.Mean[j] + sj.Std[j]
-		}
-		sc := preprocess.NewStandardizer()
-		if err := sc.Fit(rows); err != nil {
-			return nil, err
+		// Use the recorded parameters as they are: refitting on mean±std
+		// rows would round, and the loaded model would no longer predict
+		// bit for bit like the one that was saved.
+		sc, err := preprocess.StandardizerFrom(sj.Mean, sj.Std)
+		if err != nil {
+			return nil, fmt.Errorf("core: malformed standardizer parameters: %w", err)
 		}
 		return sc, nil
 	case "identity":
@@ -95,10 +83,6 @@ func (m *NNModel) Save(w io.Writer) error {
 	if err := m.Net.Save(&netBuf); err != nil {
 		return err
 	}
-	paramsF32 := m.ParamsF32
-	if paramsF32 == nil {
-		paramsF32 = m.Net.QuantizeParams()
-	}
 	doc := modelJSON{
 		FeatureNames: m.FeatureNames,
 		TargetNames:  m.TargetNames,
@@ -106,7 +90,6 @@ func (m *NNModel) Save(w io.Writer) error {
 		YScaler:      ys,
 		FeatureMin:   m.FeatureMin,
 		FeatureMax:   m.FeatureMax,
-		ParamsF32:    paramsF32,
 		Network:      json.RawMessage(netBuf.Bytes()),
 	}
 	enc := json.NewEncoder(w)
@@ -150,12 +133,13 @@ func LoadModel(r io.Reader) (*NNModel, error) {
 		return nil, fmt.Errorf("core: training envelope has %d/%d entries for %d features",
 			len(m.FeatureMin), len(m.FeatureMax), len(m.FeatureNames))
 	}
-	if doc.ParamsF32 != nil {
-		if len(doc.ParamsF32) != net.NumParams() {
-			return nil, fmt.Errorf("core: quantized vector has %d parameters, network has %d",
-				len(doc.ParamsF32), net.NumParams())
-		}
-		m.ParamsF32 = doc.ParamsF32
+	// A scaler fitted to another width would pass decoding and then panic
+	// on the first Predict; an unfitted identity (Dims 0) takes any width.
+	if d := xScaler.Dims(); d != 0 && d != net.InputDim() {
+		return nil, fmt.Errorf("core: x_scaler has %d dims, network expects %d inputs", d, net.InputDim())
+	}
+	if d := yScaler.Dims(); d != 0 && d != net.OutputDim() {
+		return nil, fmt.Errorf("core: y_scaler has %d dims, network has %d outputs", d, net.OutputDim())
 	}
 	return m, nil
 }

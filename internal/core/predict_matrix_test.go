@@ -6,16 +6,12 @@ import (
 	"nnwc/internal/mat"
 )
 
-// matrixFixture trains a model, its f32 twin, and a small ensemble on one
-// synthetic dataset, plus the staged input matrix their matrix paths take.
-func matrixFixture(t *testing.T) (*NNModel, *F32Model, *Ensemble, *mat.Matrix, [][]float64) {
+// matrixFixture trains a model and a small ensemble on one synthetic
+// dataset, plus the staged input matrix their matrix paths take.
+func matrixFixture(t *testing.T) (*NNModel, *Ensemble, *mat.Matrix, [][]float64) {
 	t.Helper()
 	ds := syntheticDataset(90, 17)
 	m, err := Fit(ds, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32m, err := m.F32()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +21,19 @@ func matrixFixture(t *testing.T) (*NNModel, *F32Model, *Ensemble, *mat.Matrix, [
 	}
 	xs := ds.Xs()
 	X := mat.New(len(xs), len(xs[0])).CopyRows(xs)
-	return m, f32m, ens, X, xs
+	return m, ens, X, xs
 }
 
 // TestPredictMatrixMatchesPredictAll pins the zero-alloc matrix path to the
-// allocating convenience API bit for bit, for all three MatrixPredictor
+// allocating convenience API bit for bit, for both MatrixPredictor
 // implementations.
 func TestPredictMatrixMatchesPredictAll(t *testing.T) {
-	m, f32m, ens, X, xs := matrixFixture(t)
+	m, ens, X, xs := matrixFixture(t)
 	preds := []struct {
 		name string
 		p    MatrixPredictor
 	}{
 		{"NNModel", m},
-		{"F32Model", f32m},
 		{"Ensemble", ens},
 	}
 	for _, tc := range preds {
@@ -69,15 +64,14 @@ func TestPredictMatrixMatchesPredictAll(t *testing.T) {
 
 // TestPredictMatrixZeroAlloc pins the steady-state allocation discipline of
 // the matrix path: with a warmed workspace, predicting a batch allocates
-// nothing for the single model, the f32 twin, and the ensemble.
+// nothing for the single model and the ensemble.
 func TestPredictMatrixZeroAlloc(t *testing.T) {
-	m, f32m, ens, X, _ := matrixFixture(t)
+	m, ens, X, _ := matrixFixture(t)
 	preds := []struct {
 		name string
 		p    MatrixPredictor
 	}{
 		{"NNModel", m},
-		{"F32Model", f32m},
 		{"Ensemble", ens},
 	}
 	for _, tc := range preds {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/rng"
@@ -123,14 +124,11 @@ func (c *Context) RunAblations() error {
 	}
 	c.printf("\n")
 
-	f, err := c.createArtifact("ablations.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "axis,variant,validation_error")
-	for _, r := range artifact {
-		fmt.Fprintf(f, "%q,%q,%s\n", r[0], r[1], r[2])
-	}
-	return nil
+	return c.writeArtifact("ablations.csv", func(w io.Writer) error {
+		fmt.Fprintln(w, "axis,variant,validation_error")
+		for _, r := range artifact {
+			fmt.Fprintf(w, "%q,%q,%s\n", r[0], r[1], r[2])
+		}
+		return nil
+	})
 }

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -150,13 +151,29 @@ func (c *Context) FullModel() (*core.NNModel, error) {
 	return c.full, nil
 }
 
-// createArtifact opens OutDir/name for writing, creating the directory as
-// needed. Callers must close the returned file.
-func (c *Context) createArtifact(name string) (*os.File, error) {
+// writeArtifact creates OutDir/name, creating the directory as needed,
+// fills it through a buffer with write, then flushes and closes it. It
+// returns the first error of those steps, so a failed write, flush or
+// close is never mistaken for a committed artifact. write need not check
+// its own writes: the buffer keeps the first write error and Flush
+// returns it.
+func (c *Context) writeArtifact(name string, write func(w io.Writer) error) error {
 	if err := os.MkdirAll(c.OutDir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
-	return os.Create(filepath.Join(c.OutDir, name))
+	f, err := os.Create(filepath.Join(c.OutDir, name))
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (c *Context) printf(format string, args ...any) {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,5 +287,22 @@ func TestRunAblations(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(c.OutDir, "ablations.csv")); err != nil {
 		t.Fatal("ablations.csv missing")
+	}
+}
+
+// TestWriteArtifactReportsWriteErrors pins that a CSV write the device
+// refuses surfaces as an error instead of a truncated artifact: /dev/full
+// accepts the open and fails every write with ENOSPC.
+func TestWriteArtifactReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	c := &Context{OutDir: "/dev"}
+	err := c.writeArtifact("full", func(w io.Writer) error {
+		fmt.Fprintln(w, "a,b")
+		return nil
+	})
+	if err == nil {
+		t.Fatal("write to a full device reported success")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/queueing"
@@ -146,14 +147,11 @@ func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact
 	}
 	c.printf("(expected shape: every model degrades out of range; the sigmoid MLP degrades hardest, the logarithmic variants most gracefully)\n\n")
 
-	f, err := c.createArtifact(artifact)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "model,in_range_error,out_range_error")
-	for _, r := range rows {
-		fmt.Fprintf(f, "%q,%.4f,%.4f\n", r.name, r.in, r.out)
-	}
-	return nil
+	return c.writeArtifact(artifact, func(w io.Writer) error {
+		fmt.Fprintln(w, "model,in_range_error,out_range_error")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%q,%.4f,%.4f\n", r.name, r.in, r.out)
+		}
+		return nil
+	})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"nnwc/internal/recommend"
@@ -57,15 +58,16 @@ func (c *Context) RunRecommend() error {
 	c.printf("  simulated: mfg=%.1fms pur=%.1fms man=%.1fms brw=%.1fms eff=%.1f tx/s\n",
 		ind[0], ind[1], ind[2], ind[3], ind[4])
 
-	f, err := c.createArtifact("recommendation.csv")
+	err = c.writeArtifact("recommendation.csv", func(w io.Writer) error {
+		fmt.Fprintln(w, "rank,default,mfg,web,predicted_eff_tps,score")
+		for i, cand := range res.Top {
+			fmt.Fprintf(w, "%d,%g,%g,%g,%.2f,%.2f\n", i+1,
+				cand.X[featDefault], cand.X[featMfg], cand.X[featWeb], cand.Y[indThroughput], cand.Score)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "rank,default,mfg,web,predicted_eff_tps,score")
-	for i, cand := range res.Top {
-		fmt.Fprintf(f, "%d,%g,%g,%g,%.2f,%.2f\n", i+1,
-			cand.X[featDefault], cand.X[featMfg], cand.X[featWeb], cand.Y[indThroughput], cand.Score)
 	}
 	c.printf("\n")
 	return nil

@@ -65,6 +65,25 @@ func (s *Standardizer) Fit(rows [][]float64) error {
 	return nil
 }
 
+// StandardizerFrom rebuilds a fitted Standardizer from the per-column
+// means and standard deviations Mean and Std report, copying both. Every
+// mean must be finite and every std finite and positive, as Fit leaves
+// them.
+func StandardizerFrom(mean, std []float64) (*Standardizer, error) {
+	if len(mean) == 0 || len(mean) != len(std) {
+		return nil, fmt.Errorf("preprocess: standardizer has %d means and %d stds", len(mean), len(std))
+	}
+	for j := range mean {
+		if math.IsNaN(mean[j]) || math.IsInf(mean[j], 0) || !(std[j] > 0) || math.IsInf(std[j], 1) {
+			return nil, fmt.Errorf("preprocess: standardizer column %d has mean %v, std %v", j, mean[j], std[j])
+		}
+	}
+	return &Standardizer{
+		mean: append([]float64(nil), mean...),
+		std:  append([]float64(nil), std...),
+	}, nil
+}
+
 // Transform standardizes one row.
 func (s *Standardizer) Transform(row []float64) []float64 {
 	s.mustFitted(len(row))

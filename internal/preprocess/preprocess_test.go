@@ -122,6 +122,39 @@ func TestStandardizerAccessors(t *testing.T) {
 	}
 }
 
+// TestStandardizerFrom pins the rebuild from recorded parameters: it
+// transforms bit for bit like the fitted scaler it came from, and rejects
+// parameters Fit cannot produce.
+func TestStandardizerFrom(t *testing.T) {
+	fit := NewStandardizer()
+	if err := fit.Fit(randomRows(rng.New(3), 7, 3)); err != nil {
+		t.Fatal(err)
+	}
+	back, err := StandardizerFrom(fit.Mean(), fit.Std())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{0.1, -2.5, 7}
+	want, got := fit.Transform(row), back.Transform(row)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("column %d: rebuilt %v, fitted %v", j, got[j], want[j])
+		}
+	}
+	for _, c := range []struct{ mean, std []float64 }{
+		{nil, nil},
+		{[]float64{1, 2}, []float64{1}},
+		{[]float64{1}, []float64{0}},
+		{[]float64{1}, []float64{-1}},
+		{[]float64{math.NaN()}, []float64{1}},
+		{[]float64{1}, []float64{math.Inf(1)}},
+	} {
+		if _, err := StandardizerFrom(c.mean, c.std); err == nil {
+			t.Errorf("accepted mean %v, std %v", c.mean, c.std)
+		}
+	}
+}
+
 func TestFitErrors(t *testing.T) {
 	for _, s := range []Scaler{NewStandardizer(), NewMinMax(0, 1), NewIdentity()} {
 		if err := s.Fit(nil); err == nil {
