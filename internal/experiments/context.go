@@ -50,7 +50,9 @@ type Context struct {
 	// Workers bounds the parallelism of the experiment fan-outs: CV
 	// folds, sweep cells, model families, surface probes (<= 0 means the
 	// scheduler default). Seeds derive from task indices, so reports and
-	// artifacts are bit-identical at every setting.
+	// artifacts are bit-identical at every setting. Sample collection
+	// (threetier.Collect) does not see this field: it fans out on the
+	// process-wide default that sched.SetWorkers sets.
 	Workers int
 
 	// Trace receives structured run events from the experiments and the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nnwc/internal/rng"
+	"nnwc/internal/sched"
 	"nnwc/internal/workload"
 )
 
@@ -70,17 +71,24 @@ func Collect(spec SweepSpec, sys SystemParams, seed uint64) (*workload.Dataset, 
 // CollectConfigs runs an arbitrary list of configurations (e.g. one
 // produced by a Design-of-Experiments planner) and returns the samples.
 // Each configuration is simulated `replicates` times (minimum 1) with
-// derived seeds and the indicators averaged.
+// derived seeds and the indicators averaged. Configurations run in
+// parallel on the scheduler's process-wide default worker count; every
+// replicate's random stream is split from the master seed up front in
+// config-then-replicate order, so the dataset is the same at any count.
 func CollectConfigs(configs []Config, replicates int, sys SystemParams, seed uint64) (*workload.Dataset, error) {
 	if replicates < 1 {
 		replicates = 1
 	}
-	ds := workload.NewDataset(FeatureNames(), IndicatorNames())
 	master := rng.New(seed)
-	for _, cfg := range configs {
+	srcs := make([]*rng.Source, len(configs)*replicates)
+	for i := range srcs {
+		srcs[i] = master.Split()
+	}
+	rows, err := sched.Map(sched.Workers(0), len(configs), func(i int) ([]float64, error) {
+		cfg := configs[i]
 		acc := make([]float64, len(IndicatorNames()))
 		for rep := 0; rep < replicates; rep++ {
-			sim, err := NewSimulator(cfg, sys, master.Split())
+			sim, err := NewSimulator(cfg, sys, srcs[i*replicates+rep])
 			if err != nil {
 				return nil, fmt.Errorf("threetier: collecting %+v: %w", cfg, err)
 			}
@@ -88,14 +96,21 @@ func CollectConfigs(configs []Config, replicates int, sys SystemParams, seed uin
 			if err != nil {
 				return nil, err
 			}
-			for i, v := range m.Indicators() {
-				acc[i] += v
+			for k, v := range m.Indicators() {
+				acc[k] += v
 			}
 		}
-		for i := range acc {
-			acc[i] /= float64(replicates)
+		for k := range acc {
+			acc[k] /= float64(replicates)
 		}
-		ds.MustAppend(workload.Sample{X: cfg.Vector(), Y: acc})
+		return acc, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds := workload.NewDataset(FeatureNames(), IndicatorNames())
+	for i, cfg := range configs {
+		ds.MustAppend(workload.Sample{X: cfg.Vector(), Y: rows[i]})
 	}
 	return ds, nil
 }

@@ -1,7 +1,6 @@
 package threetier
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -104,19 +103,60 @@ type event struct {
 	req  *request
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq). push
+// and pop sift exactly as container/heap's up and down do, so the backing
+// array matches container/heap's after every operation (censored walks it
+// in array order); being typed, they avoid boxing each event in an
+// interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//lint:waive floateq -- event heap needs an exact time tie-break for a deterministic total order
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)     { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)       { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any         { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	*h = q[:n]
+	return e
+}
+
 func (h eventHeap) peekTime() float64 { return h[0].time }
 
 type request struct {
@@ -173,6 +213,10 @@ type Simulator struct {
 	now    float64
 	events eventHeap
 	seq    int64
+	// free holds finished requests for onArrival to reuse. A request is
+	// finished once it completes or is rejected; by then no pending event
+	// and no pool queue refers to it.
+	free []*request
 
 	pools         [NumPools]*pool
 	busyCPU       int // requests currently in their CPU phase
@@ -243,7 +287,7 @@ func (s *Simulator) Run() (*Metrics, error) {
 		if s.events.peekTime() > drainLimit {
 			break
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		s.advanceClocks(e.time)
 		s.now = e.time
 		switch e.kind {
@@ -267,7 +311,7 @@ func (s *Simulator) advanceClocks(now float64) {
 
 func (s *Simulator) schedule(at float64, kind eventKind, r *request) {
 	s.seq++
-	heap.Push(&s.events, event{time: at, seq: s.seq, kind: kind, req: r})
+	s.events.push(event{time: at, seq: s.seq, kind: kind, req: r})
 }
 
 func (s *Simulator) onArrival() {
@@ -280,13 +324,26 @@ func (s *Simulator) onArrival() {
 	if s.cfg.Mode == ClosedLoop && s.now >= s.windowEnd {
 		return // the user retires instead of submitting
 	}
-	r := &request{class: s.sampleClass(), arrival: s.now}
+	r := s.newRequest()
+	r.class, r.arrival = s.sampleClass(), s.now
 	if s.now >= s.windowStart && s.now < s.windowEnd {
 		r.measured = true
 		s.arrivals++
 	}
 	s.inFlight++
 	s.enqueue(r)
+}
+
+// newRequest returns a zeroed request, reusing a finished one if any.
+func (s *Simulator) newRequest() *request {
+	n := len(s.free)
+	if n == 0 {
+		return &request{}
+	}
+	r := s.free[n-1]
+	s.free = s.free[:n-1]
+	*r = request{}
+	return r
 }
 
 func (s *Simulator) sampleClass() Class {
@@ -319,6 +376,7 @@ func (s *Simulator) enqueue(r *request) {
 		if r.measured {
 			s.rejected[r.class]++
 		}
+		s.free = append(s.free, r)
 		s.userDone()
 	default:
 		p.push(r)
@@ -410,6 +468,7 @@ func (s *Simulator) onStageDone(r *request) {
 			s.effective[r.class]++
 		}
 	}
+	s.free = append(s.free, r)
 	s.userDone()
 }
 
@@ -436,6 +495,7 @@ func (s *Simulator) sampleTime(mean, cv float64) float64 {
 func (s *Simulator) collect(drainEnd float64) *Metrics {
 	m := &Metrics{Config: s.cfg}
 	var effTotal int
+	censored := s.censored(drainEnd)
 	for c := 0; c < NumClasses; c++ {
 		n := s.completed[c]
 		sum := s.rtSum[c]
@@ -443,7 +503,7 @@ func (s *Simulator) collect(drainEnd float64) *Metrics {
 		// drain horizon: they contribute a lower-bound response time and
 		// never count as effective. This keeps saturated configurations
 		// finite while preserving their "bad" signal.
-		cens := s.censoredOf(Class(c), drainEnd)
+		cens := censored[c]
 		n += cens.count
 		sum += cens.rtSum
 		m.Censored[c] = cens.count
@@ -483,18 +543,19 @@ type censoredStats struct {
 	rtSum float64
 }
 
-// censoredOf walks the remaining events and queues for measured requests of
-// class c that never completed.
-func (s *Simulator) censoredOf(c Class, horizon float64) censoredStats {
-	var out censoredStats
-	seen := map[*request]bool{}
+// censored walks the remaining events, then the pool queues, for measured
+// requests that never completed, accumulating each class in that order. A
+// live request is referenced by exactly one pending event (CPU or DB
+// phase) or one pool queue slot (waiting for a thread), never both, so
+// each is counted once.
+func (s *Simulator) censored(horizon float64) [NumClasses]censoredStats {
+	var out [NumClasses]censoredStats
 	add := func(r *request) {
-		if r == nil || !r.measured || r.class != c || seen[r] {
+		if r == nil || !r.measured {
 			return
 		}
-		seen[r] = true
-		out.count++
-		out.rtSum += horizon - r.arrival
+		out[r.class].count++
+		out[r.class].rtSum += horizon - r.arrival
 	}
 	for _, e := range s.events {
 		add(e.req)

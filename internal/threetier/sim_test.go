@@ -329,15 +329,40 @@ func TestSimulatorMatchesAnalyticMM_C(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulation(b *testing.B) {
+// benchSimulation is the configuration BenchmarkSimulation runs and
+// TestSimulatorAllocs budgets.
+func benchSimulation() (Config, SystemParams) {
 	sys := DefaultSystemParams()
 	sys.WarmupTime, sys.MeasureTime = 2, 8
-	cfg := Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}
+	return Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, sys
+}
+
+func BenchmarkSimulation(b *testing.B) {
+	cfg, sys := benchSimulation()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg, sys, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSimulatorAllocs holds one run to a fixed allocation budget: the
+// simulator's slices grow to their peak and recycled requests are reused,
+// so per-event allocation (boxing events through an interface, a new
+// request per arrival) would blow it by two orders of magnitude.
+func TestSimulatorAllocs(t *testing.T) {
+	cfg, sys := benchSimulation()
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		seed++
+		if _, err := Run(cfg, sys, seed); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > 300 {
+		t.Fatalf("one simulation run allocates %v objects, want <= 300", allocs)
 	}
 }
 
