@@ -546,7 +546,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resultsTotal.Inc(req.Worker)
-	taskMillis.Observe(req.ElapsedMS, req.Worker)
 	if c.remaining == 0 {
 		close(c.done)
 		c.logf("dist: job %q complete (%d tasks)", c.cfg.Spec.Kind, c.cfg.Spec.NumTasks)

@@ -183,8 +183,6 @@ type resultRequest struct {
 	// failure — not retried, it would fail identically anywhere) is set.
 	Payload json.RawMessage `json:"payload,omitempty"`
 	Error   string          `json:"error,omitempty"`
-	// ElapsedMS is the worker-side task wall time, for latency metrics.
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 	// Events is the task's buffered obs trace (JSONL): the runner's
 	// events plus the worker's closing dist_task span. The coordinator
 	// splices them into the merged cluster trace in task-index order.

@@ -187,10 +187,14 @@ func TestDuplicateResultDeliveryIsIdempotent(t *testing.T) {
 	if st := c.CoordStats(); st.Duplicates != 1 {
 		t.Fatalf("Duplicates = %d, want 1", st.Duplicates)
 	}
-	// Finish the job so Wait in the deferred call returns.
+	// Finish the job so Wait in the deferred call returns. The body is an
+	// older worker's, still carrying the removed elapsed_ms field: results
+	// decode leniently, so mixed-version clusters keep working.
 	payload1, _ := toyRunner(context.Background(), nil, toySpec(2), 1)
 	var rr resultReply
-	postJSONT(t, client, base+"/dist/result", resultRequest{LeaseID: lr.LeaseID, Worker: "w1", Index: 1, Payload: payload1}, &rr)
+	postJSONT(t, client, base+"/dist/result", map[string]any{
+		"lease_id": lr.LeaseID, "worker": "w1", "index": 1, "payload": payload1, "elapsed_ms": 12.5,
+	}, &rr)
 	if !rr.Done {
 		t.Fatal("final result did not report done")
 	}

@@ -296,4 +296,10 @@ func TestCoordinatorMetricsFederation(t *testing.T) {
 	if !strings.Contains(body, "nnwc_cluster_task_ms_hist_bucket") {
 		t.Fatalf("merged cluster histogram missing from /metrics:\n%s", body)
 	}
+	// The federated histogram is the one task-time series.
+	for _, gone := range []string{"nnwc_dist_task_ms", " summary\n"} {
+		if strings.Contains(body, gone) {
+			t.Fatalf("/metrics still carries %q:\n%s", gone, body)
+		}
+	}
 }

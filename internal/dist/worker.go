@@ -312,11 +312,10 @@ func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep lea
 		w.taskHist.Observe(ms)
 		workerTasksTotal.Inc()
 		res := resultRequest{
-			LeaseID:   rep.LeaseID,
-			Worker:    w.cfg.ID,
-			Index:     idx,
-			ElapsedMS: ms,
-			Events:    events.String(),
+			LeaseID: rep.LeaseID,
+			Worker:  w.cfg.ID,
+			Index:   idx,
+			Events:  events.String(),
 		}
 		if err != nil {
 			// Deterministic task failure: report it, don't retry it.

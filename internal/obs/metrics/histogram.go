@@ -6,16 +6,13 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"nnwc/internal/stats"
 )
 
-// Histogram is a fixed-bucket distribution. Unlike Summary (whose
-// ring-window quantiles are a function of *which* recent observations a
-// process saw, and therefore cannot be combined across processes), a
-// histogram's per-bucket counts add: merging the snapshots of N workers
+// Histogram is a fixed-bucket distribution. Its per-bucket counts add:
+// merging the snapshots of N workers
 // yields exactly the histogram one process observing all their events
 // would have built. That additivity is what the dist plane's metrics
 // federation rides on — workers push HistogramSnapshots with each lease
@@ -33,9 +30,10 @@ type Histogram struct {
 }
 
 // DefMillisBuckets is the default latency bucket layout (milliseconds):
-// roughly exponential from sub-millisecond HTTP handling up to
-// half-minute training tasks.
-var DefMillisBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+// roughly exponential from an uncoalesced in-process prediction (tens of
+// microseconds) up to half-minute training tasks. Milliseconds are the
+// one duration unit every histogram in the repo uses.
+var DefMillisBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 
 // NewHistogram returns an unregistered histogram — a local accumulator
 // whose snapshots feed federation (e.g. each dist worker's task timer)
@@ -197,19 +195,12 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	return v
 }
 
-func (v *HistogramVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
-}
-
 // Observe records one value in the cell identified by the label values.
 func (v *HistogramVec) Observe(val float64, values ...string) {
 	if math.IsNaN(val) {
 		return
 	}
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	i := sort.SearchFloat64s(v.bounds, val)
 	v.mu.Lock()
 	c, ok := v.cells[k]
@@ -234,7 +225,7 @@ func (v *HistogramVec) SetSnapshot(s HistogramSnapshot, values ...string) error 
 	if !sameBounds(v.bounds, s.Bounds) {
 		return fmt.Errorf("metrics: %s: pushed snapshot has different bucket bounds", v.name)
 	}
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	v.cells[k] = &histCell{counts: append([]uint64(nil), s.Counts...), sum: s.Sum, count: s.Count}
 	v.mu.Unlock()
@@ -244,7 +235,7 @@ func (v *HistogramVec) SetSnapshot(s HistogramSnapshot, values ...string) error 
 // CellSnapshot returns one cell's snapshot (empty when the cell does not
 // exist yet).
 func (v *HistogramVec) CellSnapshot(values ...string) HistogramSnapshot {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	s := HistogramSnapshot{Bounds: append([]float64(nil), v.bounds...), Counts: make([]uint64, len(v.bounds)+1)}

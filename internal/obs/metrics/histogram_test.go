@@ -28,6 +28,25 @@ lat_ms_count 4
 	}
 }
 
+// TestDefMillisBucketsResolveSubMillisecond: an uncoalesced in-process
+// prediction takes tens of microseconds; it must not share the first
+// bucket with everything up to 1 ms.
+func TestDefMillisBucketsResolveSubMillisecond(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("lat_ms", "", DefMillisBuckets).Observe(0.07)
+	var b strings.Builder
+	r.Write(&b)
+	out := b.String()
+	for _, want := range []string{
+		`lat_ms_bucket{le="0.05"} 0`,
+		`lat_ms_bucket{le="0.1"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendered output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestHistogramDropsNaN(t *testing.T) {
 	h := NewHistogram("x", "", []float64{1})
 	h.Observe(nan())

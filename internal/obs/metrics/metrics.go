@@ -1,14 +1,14 @@
 // Package metrics is the shared Prometheus-text metrics registry: typed
-// counters, labeled counter vectors, recent-window summaries and gauges
-// with a deterministic exposition order, so both the prediction server's
-// /metrics and the debug endpoint's training-side counters render through
-// one exporter and the schema stays pin-testable.
+// counters, labeled counter and gauge vectors, gauges and mergeable
+// fixed-bucket histograms (histogram.go) with a deterministic exposition
+// order, so both the prediction server's /metrics and the debug
+// endpoint's training-side counters render through one exporter and the
+// schema stays pin-testable.
 //
 // A Registry renders metrics in registration order; within a labeled
-// metric, cells render sorted by label values. Quantile summaries compute
-// over a fixed-capacity ring of recent observations (tracking current
-// behaviour, not the process lifetime) exactly like the server's original
-// registry did.
+// metric, cells render sorted by label values. Histograms are the only
+// distribution type: their bucket counts cover the process lifetime and
+// add across processes, which is what dist federation relies on.
 package metrics
 
 import (
@@ -18,8 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"nnwc/internal/stats"
 )
 
 // Registry holds metrics and renders them in registration order.
@@ -103,6 +101,16 @@ func (c *Counter) render(w io.Writer) {
 // well-formed label value.
 const labelSep = "\x1f"
 
+// cellKey joins one labeled cell's values into its map key. Every vec
+// type shares it; a label-arity mismatch is a programming error and
+// panics.
+func cellKey(name string, labels, values []string) string {
+	if len(values) != len(labels) {
+		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", name, len(labels), len(values)))
+	}
+	return strings.Join(values, labelSep)
+}
+
 // CounterVec is a counter with a fixed set of label names; each distinct
 // label-value tuple is one cell. Cells render sorted by label values.
 type CounterVec struct {
@@ -119,19 +127,12 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return v
 }
 
-func (v *CounterVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
-}
-
 // Inc adds one to the cell identified by the label values.
 func (v *CounterVec) Inc(values ...string) { v.Add(1, values...) }
 
 // Add adds n to the cell identified by the label values.
 func (v *CounterVec) Add(n uint64, values ...string) {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	v.cells[k] += n
 	v.mu.Unlock()
@@ -139,7 +140,7 @@ func (v *CounterVec) Add(n uint64, values ...string) {
 
 // Value returns one cell's count.
 func (v *CounterVec) Value(values ...string) uint64 {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.cells[k]
@@ -179,16 +180,9 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return v
 }
 
-func (v *GaugeVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
-}
-
 // Set stores the cell's current value.
 func (v *GaugeVec) Set(val float64, values ...string) {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	v.cells[k] = val
 	v.mu.Unlock()
@@ -196,15 +190,30 @@ func (v *GaugeVec) Set(val float64, values ...string) {
 
 // Add shifts the cell's current value by delta (creating it at delta).
 func (v *GaugeVec) Add(delta float64, values ...string) {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	v.cells[k] += delta
 	v.mu.Unlock()
 }
 
+// AddBelow shifts the cell by delta only when its current value is below
+// limit, and reports whether it did. Check and shift are one locked step,
+// so concurrent callers racing for the last unit below limit cannot all
+// pass — the admission-control use of an in-flight gauge.
+func (v *GaugeVec) AddBelow(delta, limit float64, values ...string) bool {
+	k := cellKey(v.name, v.labels, values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.cells[k] >= limit {
+		return false
+	}
+	v.cells[k] += delta
+	return true
+}
+
 // Value returns one cell's current value.
 func (v *GaugeVec) Value(values ...string) float64 {
-	k := v.key(values)
+	k := cellKey(v.name, v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.cells[k]
@@ -225,96 +234,6 @@ func (v *GaugeVec) render(w io.Writer) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(w, "%s{%s} %g\n", v.name, labelPairs(v.labels, k), vals[k])
-	}
-}
-
-// SummaryVec is a labeled Summary: each distinct label-value tuple gets its
-// own recent-observation window and lifetime sum/count. Cells render sorted
-// by label values.
-type SummaryVec struct {
-	name, help string
-	labels     []string
-	window     int
-	quantiles  []float64
-	mu         sync.Mutex
-	cells      map[string]*summaryCell
-}
-
-type summaryCell struct {
-	window *ring
-	sum    float64
-	count  uint64
-}
-
-// SummaryVec registers a labeled quantile summary; every cell gets the
-// given window capacity.
-func (r *Registry) SummaryVec(name, help string, window int, labels []string, quantiles ...float64) *SummaryVec {
-	v := &SummaryVec{
-		name: name, help: help, labels: labels,
-		window: window, quantiles: quantiles,
-		cells: make(map[string]*summaryCell),
-	}
-	r.add(v)
-	return v
-}
-
-func (v *SummaryVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
-}
-
-// Observe records one value in the cell identified by the label values.
-func (v *SummaryVec) Observe(val float64, values ...string) {
-	k := v.key(values)
-	v.mu.Lock()
-	c, ok := v.cells[k]
-	if !ok {
-		c = &summaryCell{window: newRing(v.window)}
-		v.cells[k] = c
-	}
-	c.window.add(val)
-	c.sum += val
-	c.count++
-	v.mu.Unlock()
-}
-
-// Stats returns one cell's lifetime count and sum.
-func (v *SummaryVec) Stats(values ...string) (count uint64, sum float64) {
-	k := v.key(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.cells[k]; ok {
-		return c.count, c.sum
-	}
-	return 0, 0
-}
-
-func (v *SummaryVec) render(w io.Writer) {
-	header(w, v.name, v.help, "summary")
-	type snap struct {
-		key    string
-		window []float64
-		sum    float64
-		count  uint64
-	}
-	v.mu.Lock()
-	snaps := make([]snap, 0, len(v.cells))
-	for k, c := range v.cells {
-		snaps = append(snaps, snap{key: k, window: c.window.snapshot(), sum: c.sum, count: c.count})
-	}
-	v.mu.Unlock()
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
-	for _, s := range snaps {
-		pairs := labelPairs(v.labels, s.key)
-		if len(s.window) > 0 {
-			for _, q := range v.quantiles {
-				fmt.Fprintf(w, "%s{%s,quantile=\"%g\"} %g\n", v.name, pairs, q, stats.Quantile(s.window, q))
-			}
-		}
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", v.name, pairs, s.sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", v.name, pairs, s.count)
 	}
 }
 
@@ -344,83 +263,4 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 func (g *GaugeFunc) render(w io.Writer) {
 	header(w, g.name, g.help, "gauge")
 	fmt.Fprintf(w, "%s %g\n", g.name, g.fn())
-}
-
-// ring is a fixed-capacity ring buffer of recent observations; quantiles
-// computed over it track current behaviour instead of averaging over the
-// process lifetime.
-type ring struct {
-	buf  []float64
-	n    int // observations stored (≤ cap)
-	next int
-}
-
-func newRing(capacity int) *ring { return &ring{buf: make([]float64, capacity)} }
-
-func (r *ring) add(v float64) {
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// snapshot copies the stored observations (unordered — fine for quantiles).
-func (r *ring) snapshot() []float64 {
-	out := make([]float64, r.n)
-	if r.n < len(r.buf) {
-		copy(out, r.buf[:r.n])
-	} else {
-		copy(out, r.buf)
-	}
-	return out
-}
-
-// Summary tracks a distribution: lifetime sum and count plus quantiles
-// over a recent-observation window.
-type Summary struct {
-	name, help string
-	quantiles  []float64
-	mu         sync.Mutex
-	window     *ring
-	sum        float64
-	count      uint64
-}
-
-// Summary registers a quantile summary with the given window capacity.
-func (r *Registry) Summary(name, help string, window int, quantiles ...float64) *Summary {
-	s := &Summary{name: name, help: help, quantiles: quantiles, window: newRing(window)}
-	r.add(s)
-	return s
-}
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	s.mu.Lock()
-	s.window.add(v)
-	s.sum += v
-	s.count++
-	s.mu.Unlock()
-}
-
-// Stats returns the lifetime count and sum.
-func (s *Summary) Stats() (count uint64, sum float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count, s.sum
-}
-
-func (s *Summary) render(w io.Writer) {
-	s.mu.Lock()
-	snap := s.window.snapshot()
-	sum, count := s.sum, s.count
-	s.mu.Unlock()
-	header(w, s.name, s.help, "summary")
-	if len(snap) > 0 {
-		for _, q := range s.quantiles {
-			fmt.Fprintf(w, "%s{quantile=\"%g\"} %g\n", s.name, q, stats.Quantile(snap, q))
-		}
-	}
-	fmt.Fprintf(w, "%s_sum %g\n", s.name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", s.name, count)
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -64,15 +65,22 @@ req_total{endpoint="/predict",status="500"} 1
 	}
 }
 
-func TestCounterVecLabelArityPanics(t *testing.T) {
+func TestVecLabelArityPanics(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("x", "", "a", "b")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong label arity")
-		}
-	}()
-	v.Inc("only-one")
+	for name, observe := range map[string]func(){
+		"CounterVec":   func() { r.CounterVec("c", "", "a", "b").Inc("only-one") },
+		"GaugeVec":     func() { r.GaugeVec("g", "", "a", "b").Set(1, "only-one") },
+		"HistogramVec": func() { r.HistogramVec("h", "", []float64{1}, "a", "b").Observe(1, "only-one") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on wrong label arity", name)
+				}
+			}()
+			observe()
+		}()
+	}
 }
 
 func TestGaugeFunc(t *testing.T) {
@@ -89,31 +97,6 @@ func TestGaugeFunc(t *testing.T) {
 	r.Write(&b)
 	if !strings.Contains(b.String(), "g 7\n") {
 		t.Fatalf("gauge not re-read at render: %q", b.String())
-	}
-}
-
-func TestSummaryWindow(t *testing.T) {
-	r := NewRegistry()
-	s := r.Summary("lat", "latency", 4, 0.5)
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Observe(v)
-	}
-	count, sum := s.Stats()
-	if count != 4 || sum != 10 {
-		t.Fatalf("Stats = (%d, %g), want (4, 10)", count, sum)
-	}
-	// Overflow the window: the quantile must track only the recent 4.
-	for _, v := range []float64{100, 100, 100, 100} {
-		s.Observe(v)
-	}
-	var b strings.Builder
-	r.Write(&b)
-	got := b.String()
-	if !strings.Contains(got, `lat{quantile="0.5"} 100`) {
-		t.Fatalf("windowed quantile should be 100: %q", got)
-	}
-	if !strings.Contains(got, "lat_sum 410\n") || !strings.Contains(got, "lat_count 8\n") {
-		t.Fatalf("lifetime sum/count wrong: %q", got)
 	}
 }
 
@@ -156,37 +139,41 @@ inflight{model="web"} 5
 	}
 }
 
-func TestSummaryVecPerCellWindows(t *testing.T) {
-	r := NewRegistry()
-	v := r.SummaryVec("lat", "latency", 8, []string{"model"}, 0.5)
-	for i := 1; i <= 4; i++ {
-		v.Observe(float64(i), "web")
-	}
-	v.Observe(100, "db")
-	count, sum := v.Stats("web")
-	if count != 4 || sum != 10 {
-		t.Fatalf("web stats count=%d sum=%g, want 4 and 10", count, sum)
-	}
-	if count, _ := v.Stats("missing"); count != 0 {
-		t.Fatalf("missing cell count=%d, want 0", count)
-	}
-	var b strings.Builder
-	r.Write(&b)
-	got := b.String()
-	for _, want := range []string{
-		`lat{model="db",quantile="0.5"} 100`,
-		`lat_sum{model="db"} 100`,
-		`lat_count{model="db"} 1`,
-		`lat{model="web",quantile="0.5"}`,
-		`lat_sum{model="web"} 10`,
-		`lat_count{model="web"} 4`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("rendering missing %q:\n%s", want, got)
+// TestGaugeVecAddBelowAdmitsExactlyOne races many goroutines for a limit
+// of one: check and increment are one locked step, so exactly one wins.
+func TestGaugeVecAddBelowAdmitsExactlyOne(t *testing.T) {
+	const racers = 64
+	for round := 0; round < 20; round++ {
+		v := NewRegistry().GaugeVec("inflight", "", "model")
+		var admitted atomic.Int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if v.AddBelow(1, 1, "web") {
+					admitted.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := admitted.Load(); got != 1 {
+			t.Fatalf("round %d: %d of %d racers admitted under a limit of 1", round, got, racers)
+		}
+		if got := v.Value("web"); got != 1 {
+			t.Fatalf("round %d: gauge = %g, want 1", round, got)
 		}
 	}
-	// db sorts before web: labeled cells render in label order.
-	if strings.Index(got, `model="db"`) > strings.Index(got, `model="web"`) {
-		t.Fatalf("cells not sorted by label values:\n%s", got)
+	// Released capacity admits again; a refused call leaves the cell alone.
+	v := NewRegistry().GaugeVec("inflight", "", "model")
+	if !v.AddBelow(1, 1, "db") || v.AddBelow(1, 1, "db") {
+		t.Fatal("AddBelow must admit once, then refuse at the limit")
+	}
+	v.Add(-1, "db")
+	if !v.AddBelow(1, 1, "db") || v.Value("db") != 1 {
+		t.Fatalf("AddBelow after release: gauge = %g, want 1", v.Value("db"))
 	}
 }

@@ -6,52 +6,53 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"nnwc/internal/obs/metrics"
 )
 
-// metricsWindow is the recent-observation window quantiles compute over.
-const metricsWindow = 4096
+// batchSizeBuckets are power-of-two edges for rows per forward call,
+// up to well past the default MaxBatch of 64.
+var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-var latencyQuantiles = []float64{0.5, 0.9, 0.99}
+// divergenceBuckets are edges for the mean relative gap between shadow
+// and live predictions: 0.1% up to a shadow twice off the live answer.
+var divergenceBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2}
 
 // metricsRegistry is the fleet's observability surface, built on the
-// shared exporter in internal/obs/metrics: request/error counters and
-// latency/batch distributions at the HTTP layer, plus the per-tenant
-// surface admission control is driven by — per-model request counters,
-// latency summaries, in-flight gauges and shed counters — and the
-// deployment-controller counters (fleet events, rolling HMRE gauges,
-// shadow divergence). All methods are safe for concurrent use. The
-// exposition schema is pinned by TestMetricsSchema.
+// shared exporter in internal/obs/metrics: error and reload counters,
+// the batch-size histogram, plus the per-tenant surface admission control
+// is driven by — per-model request counters, latency histograms,
+// in-flight gauges and shed counters — and the deployment-controller
+// series (fleet events, rolling HMRE gauges, shadow divergence). Request
+// counts and wall time per route come from the shared httpx middleware
+// on metrics.Default(). The registry is per Server because its GaugeFuncs
+// close over one server and tests run many servers in one process. All
+// methods are safe for concurrent use. The exposition schema is pinned by
+// TestMetricsSchema.
 type metricsRegistry struct {
 	reg       *metrics.Registry
-	requests  *metrics.CounterVec
 	errors    *metrics.CounterVec
-	latency   *metrics.Summary
-	batchSize *metrics.Summary
+	batchSize *metrics.Histogram
 	reloads   *metrics.Counter
 	inflight  atomic.Int64
 
 	tenantRequests *metrics.CounterVec
-	tenantLatency  *metrics.SummaryVec
+	tenantLatency  *metrics.HistogramVec
 	tenantInflight *metrics.GaugeVec
 	tenantShed     *metrics.CounterVec
 
 	fleetEvents *metrics.CounterVec
 	rollingHMRE *metrics.GaugeVec
-	divergence  *metrics.SummaryVec
+	divergence  *metrics.HistogramVec
 }
 
 func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry {
 	m := &metricsRegistry{reg: metrics.NewRegistry()}
-	m.requests = m.reg.CounterVec("nnwc_requests_total",
-		"Requests served, by endpoint and status code.", "endpoint", "code")
 	m.errors = m.reg.CounterVec("nnwc_request_errors_total",
 		"Rejected or failed requests, by reason.", "reason")
-	m.latency = m.reg.Summary("nnwc_request_latency_seconds",
-		"Prediction latency over the recent window.", metricsWindow, latencyQuantiles...)
-	m.batchSize = m.reg.Summary("nnwc_batch_size",
-		"Rows per coalesced forward call over the recent window.", metricsWindow, latencyQuantiles...)
+	m.batchSize = m.reg.Histogram("nnwc_batch_size",
+		"Rows per coalesced forward call.", batchSizeBuckets)
 	m.reloads = m.reg.Counter("nnwc_model_reloads_total",
 		"Live-model swaps from hot reloads since start.")
 	m.reg.GaugeFunc("nnwc_inflight_requests",
@@ -60,9 +61,9 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 
 	m.tenantRequests = m.reg.CounterVec("nnwc_tenant_requests_total",
 		"Predict requests by model and status code.", "model", "code")
-	m.tenantLatency = m.reg.SummaryVec("nnwc_tenant_latency_seconds",
-		"Prediction latency by model over the recent window.",
-		metricsWindow, []string{"model"}, latencyQuantiles...)
+	m.tenantLatency = m.reg.HistogramVec("nnwc_tenant_latency_ms",
+		"Successful prediction latency in milliseconds, by model.",
+		metrics.DefMillisBuckets, "model")
 	m.tenantInflight = m.reg.GaugeVec("nnwc_tenant_inflight_requests",
 		"Predict requests in flight, by model.", "model")
 	m.tenantShed = m.reg.CounterVec("nnwc_tenant_shed_total",
@@ -72,9 +73,9 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 		"Deployment-controller actions, by model and action.", "model", "action")
 	m.rollingHMRE = m.reg.GaugeVec("nnwc_fleet_rolling_hmre",
 		"Rolling mean per-observation HMRE from reported actuals, by model and role.", "model", "role")
-	m.divergence = m.reg.SummaryVec("nnwc_fleet_shadow_divergence",
+	m.divergence = m.reg.HistogramVec("nnwc_fleet_shadow_divergence",
 		"Relative gap between mirrored shadow and live predictions.",
-		metricsWindow, []string{"model"}, latencyQuantiles...)
+		divergenceBuckets, "model")
 
 	if warmModels != nil {
 		m.reg.GaugeFunc("nnwc_registry_warm_models",
@@ -87,19 +88,12 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 	return m
 }
 
-func (m *metricsRegistry) observeRequest(endpoint string, code int, seconds float64) {
-	m.requests.Inc(endpoint, strconv.Itoa(code))
-	if endpoint == "predict" {
-		m.latency.Observe(seconds)
-	}
-}
-
 // observeTenantRequest records the per-model request outcome and, for
 // successes, its latency.
-func (m *metricsRegistry) observeTenantRequest(tenant string, code int, seconds float64) {
+func (m *metricsRegistry) observeTenantRequest(tenant string, code int, elapsed time.Duration) {
 	m.tenantRequests.Inc(tenant, strconv.Itoa(code))
 	if code < 400 {
-		m.tenantLatency.Observe(seconds, tenant)
+		m.tenantLatency.Observe(float64(elapsed)/float64(time.Millisecond), tenant)
 	}
 }
 
@@ -120,11 +114,11 @@ func (m *metricsRegistry) observeReload() {
 	m.reloads.Inc()
 }
 
-// batchStats returns (batches, rows) — used by tests and the bench driver
-// to verify coalescing actually happened.
+// batchStats returns (batches, rows) — used by tests to verify coalescing
+// actually happened.
 func (m *metricsRegistry) batchStats() (batches, rows uint64) {
-	count, sum := m.batchSize.Stats()
-	return count, uint64(sum)
+	snap := m.batchSize.Snapshot()
+	return snap.Count, uint64(snap.Sum)
 }
 
 // modelMeta is the metadata slice of /metrics, snapshotted from the

@@ -392,7 +392,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the HTTP API.
+// Handler returns the HTTP API behind the shared httpx middleware, which
+// records per-route request counts and wall time (nnwc_http_*) and, with
+// a trace configured, one span per request. Routes are a fixed set, so
+// the default METHOD+path label stays bounded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", s.handlePredict)
@@ -405,7 +408,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /-/reload", s.handleReload)
-	return mux
+	return httpx.Instrument(httpx.InstrumentOptions{Service: "serve", Trace: s.cfg.Trace}, mux)
 }
 
 // Start opens the listener on cfg.Addr and serves the API until Shutdown.
@@ -415,11 +418,7 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	// The shared httpx middleware gives the serve plane the same
-	// server-side request metrics and span events the dist coordinator has
-	// (routes here are a fixed set, so the default METHOD+path label works).
-	handler := httpx.Instrument(httpx.InstrumentOptions{Service: "serve", Trace: s.cfg.Trace}, s.Handler())
-	s.http = httpx.NewServer(handler, httpx.Timeouts{
+	s.http = httpx.NewServer(s.Handler(), httpx.Timeouts{
 		Read:  s.cfg.ReadTimeout,
 		Write: s.cfg.WriteTimeout,
 		Idle:  s.cfg.IdleTimeout,
@@ -571,17 +570,17 @@ func predictSafely(inst *registry.Instance, xs [][]float64) (outs [][]float64, e
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, "healthz", http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		s.writeJSON(w, "readyz", http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	case !s.anyLive():
-		s.writeJSON(w, "readyz", http.StatusServiceUnavailable, map[string]string{"status": "no model loaded"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no model loaded"})
 	default:
-		s.writeJSON(w, "readyz", http.StatusOK, map[string]string{"status": "ready"})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
@@ -612,15 +611,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// middleware records (nnwc_http_*), so one scrape sees both the
 	// fleet surface and the request layer.
 	metrics.Default().Write(w)
-	s.metrics.observeRequest("metrics", http.StatusOK, 0)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if err := s.Reload(); err != nil {
-		s.writeJSON(w, "reload", http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.writeJSON(w, "reload", http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "reloaded",
 		"tenants": sortedTenants(s.tenantPaths),
 	})
@@ -637,7 +635,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			st.Tenants = append(st.Tenants, tenantStatus(d.Status()))
 		}
 	}
-	s.writeJSON(w, "fleet", http.StatusOK, st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // fleetRequest is the body of the /fleet mutation endpoints.
@@ -647,42 +645,42 @@ type fleetRequest struct {
 	Canary bool   `json:"canary,omitempty"`
 }
 
-func (s *Server) decodeFleetRequest(w http.ResponseWriter, r *http.Request, endpoint string) (fleetRequest, bool) {
+func (s *Server) decodeFleetRequest(w http.ResponseWriter, r *http.Request) (fleetRequest, bool) {
 	var req fleetRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.observeError("bad_json")
-		s.writeJSON(w, endpoint, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
 		return req, false
 	}
 	if req.Model == "" {
 		s.metrics.observeError("bad_request")
-		s.writeJSON(w, endpoint, http.StatusBadRequest, errorResponse{Error: `"model" is required`})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: `"model" is required`})
 		return req, false
 	}
 	return req, true
 }
 
 func (s *Server) handleFleetDeploy(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeFleetRequest(w, r, "fleet_deploy")
+	req, ok := s.decodeFleetRequest(w, r)
 	if !ok {
 		return
 	}
 	if req.Path == "" {
 		s.metrics.observeError("bad_request")
-		s.writeJSON(w, "fleet_deploy", http.StatusBadRequest, errorResponse{Error: `"path" is required`})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: `"path" is required`})
 		return
 	}
 	inst, err := s.ctl.Deploy(req.Model, req.Path, req.Canary)
 	if err != nil {
 		s.metrics.observeError("deploy_failed")
-		s.writeJSON(w, "fleet_deploy", http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	// The deployed path becomes the tenant's reload target.
 	s.tenantPaths[req.Model] = req.Path
-	s.writeJSON(w, "fleet_deploy", http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "deployed",
 		"canary": req.Canary,
 		"model":  modelInfo(inst),
@@ -691,14 +689,14 @@ func (s *Server) handleFleetDeploy(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetAction(endpoint string, action func(string) (*registry.Instance, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := s.decodeFleetRequest(w, r, "fleet_"+endpoint)
+		req, ok := s.decodeFleetRequest(w, r)
 		if !ok {
 			return
 		}
 		inst, err := action(req.Model)
 		if err != nil {
 			s.metrics.observeError(endpoint + "_failed")
-			s.writeJSON(w, "fleet_"+endpoint, http.StatusConflict, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 			return
 		}
 		status := endpoint + "d"
@@ -709,7 +707,7 @@ func (s *Server) handleFleetAction(endpoint string, action func(string) (*regist
 		if inst != nil {
 			resp["model"] = modelInfo(inst)
 		}
-		s.writeJSON(w, "fleet_"+endpoint, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -719,7 +717,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.observeError("bad_json")
-		s.writeJSON(w, "observe", http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
 	tenant := req.Model
@@ -729,7 +727,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	dec2, err := s.ctl.Observe(tenant, req.X, req.Actual)
 	if err != nil {
 		s.metrics.observeError("bad_observation")
-		s.writeJSON(w, "observe", http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	if !math.IsNaN(dec2.LiveHMRE) {
@@ -738,7 +736,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !math.IsNaN(dec2.ShadowHMRE) {
 		s.metrics.rollingHMRE.Set(dec2.ShadowHMRE, tenant, "shadow")
 	}
-	s.writeJSON(w, "observe", http.StatusOK, ObserveResponse{
+	writeJSON(w, http.StatusOK, ObserveResponse{
 		Tenant:     tenant,
 		LiveHMRE:   nanSafe(dec2.LiveHMRE),
 		ShadowHMRE: nanSafe(dec2.ShadowHMRE),
@@ -754,10 +752,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	tenant := "" // resolved below; failures before resolution count globally only
 	respond := func(status int, v any) {
-		elapsed := time.Since(start)
-		s.writeJSONTimed(w, "predict", status, v, elapsed)
+		writeJSON(w, status, v)
 		if tenant != "" {
-			s.metrics.observeTenantRequest(tenant, status, elapsed.Seconds())
+			s.metrics.observeTenantRequest(tenant, status, time.Since(start))
 		}
 	}
 
@@ -797,12 +794,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// Admission control, in-flight half: each tenant gets a budget of
 	// concurrently handled requests; beyond it we shed rather than queue.
-	if s.cfg.MaxInflight > 0 && s.metrics.tenantInflight.Value(tenant) >= float64(s.cfg.MaxInflight) {
+	// The budget check and the increment are one locked step, so
+	// concurrent requests cannot all slip under the same last slot.
+	limit := math.Inf(1)
+	if s.cfg.MaxInflight > 0 {
+		limit = float64(s.cfg.MaxInflight)
+	}
+	if !s.metrics.tenantInflight.AddBelow(1, limit, tenant) {
 		s.metrics.observeShed(tenant, "inflight_budget")
 		respond(http.StatusTooManyRequests, errorResponse{Error: fmt.Sprintf("tenant %q is over its in-flight budget (%d)", tenant, s.cfg.MaxInflight)})
 		return
 	}
-	s.metrics.tenantInflight.Add(1, tenant)
 	defer s.metrics.tenantInflight.Add(-1, tenant)
 
 	rows, err := requestRows(req)
@@ -898,13 +900,8 @@ func validateRows(inst *registry.Instance, rows [][]float64) ([]string, error) {
 	return warnings, nil
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v any) {
-	s.writeJSONTimed(w, endpoint, status, v, 0)
-}
-
-func (s *Server) writeJSONTimed(w http.ResponseWriter, endpoint string, status int, v any, elapsed time.Duration) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-	s.metrics.observeRequest(endpoint, status, elapsed.Seconds())
 }

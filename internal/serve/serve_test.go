@@ -654,10 +654,45 @@ func TestHotReloadAtomicity(t *testing.T) {
 	}
 }
 
+// scrape fetches one /metrics exposition.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := testClient.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	return buf.String()
+}
+
+// seriesValue returns the value of one exposition line, 0 when absent.
+func seriesValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			var v float64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
 // TestMetricsSchema pins the names and shape of the /metrics exposition.
 func TestMetricsSchema(t *testing.T) {
 	path := writeTestModel(t, t.TempDir(), 7)
 	_, ts := newTestServer(t, Config{ModelPath: path, MaxWait: time.Millisecond})
+
+	// The httpx series are process-wide, so they are checked by delta.
+	const (
+		httpOK  = `nnwc_http_requests_total{service="serve",route="POST /predict",code="200"}`
+		httpBad = `nnwc_http_requests_total{service="serve",route="POST /predict",code="400"}`
+	)
+	before := scrape(t, ts.URL)
 
 	for i := 0; i < 3; i++ {
 		resp, _, _ := postPredict(t, ts.URL, PredictRequest{X: []float64{1, 2}})
@@ -672,40 +707,62 @@ func TestMetricsSchema(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = testClient.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	body := buf.String()
+	body := scrape(t, ts.URL)
 
 	wants := []string{
-		`nnwc_requests_total{endpoint="predict",code="200"} 3`,
-		`nnwc_requests_total{endpoint="predict",code="400"} 1`,
 		`nnwc_request_errors_total{reason="bad_input"} 1`,
-		`nnwc_request_latency_seconds{quantile="0.5"}`,
-		`nnwc_request_latency_seconds{quantile="0.99"}`,
-		`nnwc_request_latency_seconds_count 4`,
-		`nnwc_batch_size{quantile="0.5"}`,
+		`nnwc_batch_size_bucket{le="1"}`,
 		`nnwc_batch_size_sum 3`,
+		`nnwc_batch_size_count`,
 		`nnwc_model_reloads_total 0`,
 		`nnwc_inflight_requests 0`,
 		`nnwc_tenant_requests_total{model="default",code="200"} 3`,
 		`nnwc_tenant_requests_total{model="default",code="400"} 1`,
-		`nnwc_tenant_latency_seconds{model="default",quantile="0.5"}`,
-		`nnwc_tenant_latency_seconds_count{model="default"} 3`,
+		`nnwc_tenant_latency_ms_bucket{model="default",le="0.05"}`,
+		`nnwc_tenant_latency_ms_bucket{model="default",le="+Inf"} 3`,
+		`nnwc_tenant_latency_ms_count{model="default"} 3`,
 		`nnwc_tenant_inflight_requests{model="default"} 0`,
 		`nnwc_fleet_events_total{model="default",action="deploy"} 1`,
 		`nnwc_registry_warm_models 1`,
 		`nnwc_batch_groups 1`,
+		`nnwc_http_request_ms_count{service="serve",route="POST /predict"}`,
 		`nnwc_model_loaded_timestamp_seconds`,
 		`nnwc_model_info{path=`,
 	}
 	for _, want := range wants {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, body)
+		}
+	}
+	for series, want := range map[string]float64{httpOK: 3, httpBad: 1} {
+		if got := seriesValue(t, body, series) - seriesValue(t, before, series); got != want {
+			t.Errorf("%s grew by %g, want %g", series, got, want)
+		}
+	}
+
+	// Deleted series stay deleted, and every distribution is a histogram.
+	for _, gone := range []string{
+		"nnwc_requests_total",
+		"nnwc_request_latency_seconds",
+		"nnwc_tenant_latency_seconds",
+		" summary\n",
+		"quantile=",
+	} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics output still carries %q\n---\n%s", gone, body)
+		}
+	}
+	// Duration histograms are all in milliseconds; the two unitless ones
+	// count rows and relative gaps.
+	unitless := map[string]bool{"nnwc_batch_size": true, "nnwc_fleet_shadow_divergence": true}
+	for _, line := range strings.Split(body, "\n") {
+		typed, isType := strings.CutPrefix(line, "# TYPE ")
+		name, isHist := strings.CutSuffix(typed, " histogram")
+		if !isType || !isHist || unitless[name] {
+			continue
+		}
+		if !strings.HasSuffix(name, "_ms") && !strings.HasSuffix(name, "_ms_hist") {
+			t.Errorf("histogram %s is not named in milliseconds", name)
 		}
 	}
 }
