@@ -28,7 +28,7 @@ func cmdServe(args []string) error {
 	defaultTenant := fs.String("default-tenant", "", "tenant serving requests that name no model (default: the only tenant, when one is configured)")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("max-batch", 64, "max rows coalesced into one forward call (1 disables coalescing)")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max extra latency spent gathering a batch")
+	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max extra latency a lone row waits for batch-mates; it is held only while its batch group is coalescing")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request prediction timeout")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent inference workers per batch domain")

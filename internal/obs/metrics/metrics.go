@@ -97,6 +97,26 @@ func (c *Counter) render(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
 }
 
+// CounterFunc renders a monotonic count owned elsewhere (an atomic in
+// another package), read from fn at render time.
+type CounterFunc struct {
+	name, help string
+	fn         func() uint64
+}
+
+// CounterFunc registers a counter whose value is read at render time; fn
+// must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) *CounterFunc {
+	c := &CounterFunc{name: name, help: help, fn: fn}
+	r.add(c)
+	return c
+}
+
+func (c *CounterFunc) render(w io.Writer) {
+	header(w, c.name, c.help, "counter")
+	fmt.Fprintf(w, "%s %d\n", c.name, c.fn())
+}
+
 // labelSep joins label values into one map key; it cannot appear in a
 // well-formed label value.
 const labelSep = "\x1f"

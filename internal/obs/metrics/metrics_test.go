@@ -83,6 +83,23 @@ func TestVecLabelArityPanics(t *testing.T) {
 	}
 }
 
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var n uint64 = 3
+	r.CounterFunc("c_total", "counter", func() uint64 { return n })
+	var b strings.Builder
+	r.Write(&b)
+	if !strings.Contains(b.String(), "# TYPE c_total counter\nc_total 3\n") {
+		t.Fatalf("rendered %q", b.String())
+	}
+	n = 5
+	b.Reset()
+	r.Write(&b)
+	if !strings.Contains(b.String(), "c_total 5\n") {
+		t.Fatalf("counter not re-read at render: %q", b.String())
+	}
+}
+
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	val := 2.5

@@ -10,8 +10,10 @@
 // each sub-batch through the zero-allocation batched forward spine.
 //
 // Gathering is greedy first — whatever is already queued joins immediately
-// — then one cooperative yield lets runnable submitters enqueue, and only
-// a lone row on an idle queue waits out MaxWait for company. A full queue
+// — then one cooperative yield lets runnable submitters enqueue. A lone row
+// on an idle queue waits up to MaxWait for company only while its group is
+// coalescing (its previous batch had more than one row); on a quiet group
+// it runs at once, so an idle server adds no artificial latency. A full queue
 // sheds instead of blocking (ErrOverloaded): the serve plane turns that
 // into 429s, which is the queue-depth half of admission control.
 package batch
@@ -55,7 +57,9 @@ type Config struct {
 	// MaxBatch bounds the rows gathered into one super-batch (default 64).
 	MaxBatch int
 	// MaxWait bounds the extra latency a lone row pays waiting for
-	// batch-mates (default 0: gather only what is queued).
+	// batch-mates (default 0: gather only what is queued). The hold applies
+	// only while the row's group is coalescing — its previous batch found
+	// company — so a lone row on a quiet group never waits.
 	MaxWait time.Duration
 	// QueueDepth is each shape group's pending-row buffer (default 1024).
 	QueueDepth int
@@ -96,10 +100,15 @@ type Batcher struct {
 	mu       sync.Mutex
 	groups   map[string]*group
 	sheds    atomic.Uint64
+	holds    atomic.Uint64
+	joined   atomic.Uint64
 }
 
 type group struct {
 	jobs chan Job
+	// coalescing records whether the group's previous gathered batch had
+	// more than one row; only then is a lone row held for company.
+	coalescing atomic.Bool
 }
 
 // New builds a Batcher over the given inference callback. run receives a
@@ -148,6 +157,12 @@ func (b *Batcher) GroupCount() int {
 
 // Sheds reports how many rows were refused on a full queue.
 func (b *Batcher) Sheds() uint64 { return b.sheds.Load() }
+
+// Holds reports how many lone rows were held for company.
+func (b *Batcher) Holds() uint64 { return b.holds.Load() }
+
+// HoldsJoined reports how many of those holds found company.
+func (b *Batcher) HoldsJoined() uint64 { return b.joined.Load() }
 
 // Submit enqueues every row of xs for inst's shape group and waits for all
 // results (or ctx). Rows from one request may land in different batches,
@@ -201,7 +216,9 @@ func (b *Batcher) loop(g *group) {
 			b.drain(g)
 			return
 		case j := <-g.jobs:
-			b.run(b.gather(g, buf[:0], j))
+			batch := b.gather(g, buf[:0], j)
+			g.coalescing.Store(len(batch) > 1)
+			b.run(batch)
 		}
 	}
 }
@@ -223,8 +240,11 @@ func (b *Batcher) drain(g *group) {
 // gather assembles a super-batch around the first job. Batches form from
 // backlog: everything already queued joins greedily, then one cooperative
 // yield lets submitters that are already runnable enqueue before the batch
-// closes. A batch that found company runs immediately; only a lone row on
-// an idle queue is held, up to MaxWait, for near-simultaneous arrivals.
+// closes. A batch that found company runs immediately. A lone row on an
+// idle queue is held, up to MaxWait, for near-simultaneous arrivals — but
+// only while the group is coalescing. When the previous batch was a
+// singleton too, traffic is sparse, a hold would almost surely expire
+// empty, and the row runs at once.
 func (b *Batcher) gather(g *group, batch []Job, first Job) []Job {
 	batch = append(batch, first)
 	batch = b.greedy(g, batch)
@@ -232,13 +252,15 @@ func (b *Batcher) gather(g *group, batch []Job, first Job) []Job {
 		runtime.Gosched()
 		batch = b.greedy(g, batch)
 	}
-	if len(batch) > 1 || b.cfg.MaxWait <= 0 {
+	if len(batch) > 1 || b.cfg.MaxWait <= 0 || !g.coalescing.Load() {
 		return batch
 	}
+	b.holds.Add(1)
 	timer := time.NewTimer(b.cfg.MaxWait)
 	defer timer.Stop()
 	select {
 	case j := <-g.jobs:
+		b.joined.Add(1)
 		return b.greedy(g, append(batch, j))
 	case <-timer.C:
 	case <-b.stop:

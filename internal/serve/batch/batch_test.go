@@ -232,3 +232,146 @@ func TestShutdownDrainsQueue(t *testing.T) {
 		t.Fatalf("submit after shutdown = %v, want ErrDraining", err)
 	}
 }
+
+// gatedRun is echoRun whose first batch blocks until release closes, so a
+// test can queue rows behind a busy worker.
+type gatedRun struct {
+	echoRun
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGatedRun() *gatedRun {
+	return &gatedRun{started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedRun) run(batch []Job) {
+	g.once.Do(func() {
+		close(g.started)
+		<-g.release
+	})
+	g.echoRun.run(batch)
+}
+
+// submitAsync submits one row and delivers its error on the returned
+// channel.
+func submitAsync(b *Batcher, in *registry.Instance, x float64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), in, [][]float64{{x}})
+		done <- err
+	}()
+	return done
+}
+
+// forceCoalescing makes the group of in gather one multi-row batch: the
+// first row blocks the only worker, two more queue behind it, and the
+// release lets them run together.
+func forceCoalescing(t *testing.T, b *Batcher, g *gatedRun, in *registry.Instance) {
+	t.Helper()
+	first := submitAsync(b, in, 0)
+	<-g.started
+	second, third := submitAsync(b, in, 1), submitAsync(b, in, 2)
+	q := b.group(b.key(in)).jobs
+	for deadline := time.Now().Add(5 * time.Second); len(q) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d rows queued behind the blocked worker", len(q))
+		}
+	}
+	close(g.release)
+	for _, done := range []<-chan error{first, second, third} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if last := g.batches[len(g.batches)-1]; len(last) != 2 {
+		t.Fatalf("queued rows ran as a batch of %d, want 2 (%v)", len(last), g.batches)
+	}
+}
+
+// TestLoneRowOnQuietGroupRunsAtOnce: with no coalescing observed, a lone
+// row is not held, so it returns well inside a long MaxWait.
+func TestLoneRowOnQuietGroupRunsAtOnce(t *testing.T) {
+	e := &echoRun{}
+	const maxWait = time.Second
+	b := New(Config{MaxBatch: 8, MaxWait: maxWait, Workers: 1}, e.run)
+	defer b.Shutdown()
+	a := inst("a", 1, "s")
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := b.Submit(context.Background(), a, [][]float64{{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > maxWait/4 {
+			t.Fatalf("lone row %d took %v on a quiet group (MaxWait %v)", i, elapsed, maxWait)
+		}
+	}
+	if h := b.Holds(); h != 0 {
+		t.Fatalf("%d lone rows held on a quiet group, want 0", h)
+	}
+}
+
+// TestLoneRowHeldWhileCoalescing: once a group's batch found company, the
+// next lone row is held and picks up a row that arrives shortly after.
+func TestLoneRowHeldWhileCoalescing(t *testing.T) {
+	g := newGatedRun()
+	b := New(Config{MaxBatch: 8, MaxWait: time.Second, Workers: 1}, g.run)
+	defer b.Shutdown()
+	a := inst("a", 1, "s")
+	forceCoalescing(t, b, g, a)
+
+	lone := submitAsync(b, a, 10)
+	time.Sleep(10 * time.Millisecond)
+	late := submitAsync(b, a, 11)
+	for _, done := range []<-chan error{lone, late} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.Lock()
+	last := g.batches[len(g.batches)-1]
+	g.mu.Unlock()
+	if len(last) != 2 {
+		t.Fatalf("held row ran in a batch of %d, want 2 with the late row (%v)", len(last), g.batches)
+	}
+	if h, j := b.Holds(), b.HoldsJoined(); h != 1 || j != 1 {
+		t.Fatalf("holds=%d joined=%d, want 1 and 1", h, j)
+	}
+}
+
+// TestHeldRowReturnsByMaxWait: a held row that finds no company still
+// runs when MaxWait expires, and the singleton batch ends the group's
+// coalescing, so the next lone row is not held.
+func TestHeldRowReturnsByMaxWait(t *testing.T) {
+	g := newGatedRun()
+	const maxWait = 50 * time.Millisecond
+	b := New(Config{MaxBatch: 8, MaxWait: maxWait, Workers: 1}, g.run)
+	defer b.Shutdown()
+	a := inst("a", 1, "s")
+	forceCoalescing(t, b, g, a)
+
+	start := time.Now()
+	if _, err := b.Submit(context.Background(), a, [][]float64{{10}}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < maxWait || elapsed > 10*maxWait {
+		t.Fatalf("held row returned after %v, want about MaxWait=%v", elapsed, maxWait)
+	}
+	if h, j := b.Holds(), b.HoldsJoined(); h != 1 || j != 0 {
+		t.Fatalf("holds=%d joined=%d, want 1 and 0", h, j)
+	}
+
+	start = time.Now()
+	if _, err := b.Submit(context.Background(), a, [][]float64{{11}}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= maxWait {
+		t.Fatalf("lone row after an expired hold took %v, want no hold", elapsed)
+	}
+	if h := b.Holds(); h != 1 {
+		t.Fatalf("holds=%d after the group went quiet, want 1", h)
+	}
+}

@@ -297,12 +297,17 @@ func (c *Controller) Observe(tenant string, x, actual []float64) (Decision, erro
 
 	livePred := live.Pred.PredictAll([][]float64{x})[0]
 	liveHMRE, liveErr := stats.HarmonicMeanRelativeError(actual, livePred)
+	if liveErr == nil && math.IsInf(liveHMRE, 0) {
+		// Actuals this close to zero overflow the relative error; one
+		// such observation would pin the rolling mean at +Inf.
+		return Decision{}, fmt.Errorf("deploy: observation's relative error overflows (actual %v too close to zero)", actual)
+	}
 
 	var shadowHMRE = math.NaN()
 	sh := d.shadow.Load()
 	if sh != nil {
 		shPred := sh.Pred.PredictAll([][]float64{x})[0]
-		if h, err := stats.HarmonicMeanRelativeError(actual, shPred); err == nil {
+		if h, err := stats.HarmonicMeanRelativeError(actual, shPred); err == nil && !math.IsInf(h, 0) {
 			shadowHMRE = h
 		}
 	}
@@ -404,33 +409,35 @@ type window struct {
 	buf  []float64
 	n    int
 	next int
-	sum  float64
 }
 
 func newWindow(capacity int) *window { return &window{buf: make([]float64, capacity)} }
 
 func (w *window) add(v float64) {
-	if w.n == len(w.buf) {
-		w.sum -= w.buf[w.next]
-	} else {
+	if w.n < len(w.buf) {
 		w.n++
 	}
 	w.buf[w.next] = v
-	w.sum += v
 	w.next = (w.next + 1) % len(w.buf)
 }
 
 func (w *window) count() int { return w.n }
 
+// mean sums v/n over the ring (unfilled slots are zero), so the mean of
+// finite values stays finite however large they are.
 func (w *window) mean() float64 {
 	if w.n == 0 {
 		return math.NaN()
 	}
-	return w.sum / float64(w.n)
+	var m float64
+	for _, v := range w.buf {
+		m += v / float64(w.n)
+	}
+	return m
 }
 
 func (w *window) reset() {
-	w.n, w.next, w.sum = 0, 0, 0
+	w.n, w.next = 0, 0
 	for i := range w.buf {
 		w.buf[i] = 0
 	}

@@ -236,6 +236,18 @@ func TestObserveValidation(t *testing.T) {
 	if !math.IsNaN(dec.ShadowHMRE) {
 		t.Fatal("shadow HMRE reported with no shadow staged")
 	}
+	// An actual so near zero that its relative error overflows is refused
+	// and leaves the rolling window as it was.
+	if _, err := c.Observe("web", []float64{1, 2}, []float64{1e-310, -1e-310}); err == nil {
+		t.Fatal("observation with an overflowing relative error accepted")
+	}
+	again, err := c.Observe("web", []float64{1, 2}, []float64{10, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(again.LiveHMRE, 0) || math.Abs(again.LiveHMRE-dec.LiveHMRE) > 1e-12 {
+		t.Fatalf("rolling HMRE %g after a refused observation, want %g", again.LiveHMRE, dec.LiveHMRE)
+	}
 }
 
 func TestWindowRolls(t *testing.T) {
@@ -262,5 +274,12 @@ func TestWindowRolls(t *testing.T) {
 	w.reset()
 	if w.count() != 0 || !math.IsNaN(w.mean()) {
 		t.Fatal("reset window not empty")
+	}
+	// Values near the float64 limit average without overflowing.
+	for i := 0; i < 4; i++ {
+		w.add(math.MaxFloat64 / 2)
+	}
+	if got := w.mean(); got != math.MaxFloat64/2 {
+		t.Fatalf("mean of huge values %g, want %g", got, math.MaxFloat64/2)
 	}
 }

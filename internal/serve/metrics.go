@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"nnwc/internal/obs/metrics"
+	"nnwc/internal/serve/batch"
+	"nnwc/internal/serve/registry"
 )
 
 // batchSizeBuckets are power-of-two edges for rows per forward call,
@@ -21,7 +23,8 @@ var divergenceBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 
 
 // metricsRegistry is the fleet's observability surface, built on the
 // shared exporter in internal/obs/metrics: error and reload counters,
-// the batch-size histogram, plus the per-tenant surface admission control
+// the batch-size histogram, the batcher's group and lone-row hold counts,
+// plus the per-tenant surface admission control
 // is driven by — per-model request counters, latency histograms,
 // in-flight gauges and shed counters — and the deployment-controller
 // series (fleet events, rolling HMRE gauges, shadow divergence). Request
@@ -47,7 +50,9 @@ type metricsRegistry struct {
 	divergence  *metrics.HistogramVec
 }
 
-func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry {
+// newMetricsRegistry builds the registry; the registry's warm count and
+// the batcher's own counts are read at scrape time.
+func newMetricsRegistry(models *registry.Registry, batcher *batch.Batcher) *metricsRegistry {
 	m := &metricsRegistry{reg: metrics.NewRegistry()}
 	m.errors = m.reg.CounterVec("nnwc_request_errors_total",
 		"Rejected or failed requests, by reason.", "reason")
@@ -77,14 +82,18 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 		"Relative gap between mirrored shadow and live predictions.",
 		divergenceBuckets, "model")
 
-	if warmModels != nil {
-		m.reg.GaugeFunc("nnwc_registry_warm_models",
-			"Model instances currently loaded in the registry's LRU cache.", warmModels)
-	}
-	if batchGroups != nil {
-		m.reg.GaugeFunc("nnwc_batch_groups",
-			"Active cross-tenant coalescing domains (distinct network shapes).", batchGroups)
-	}
+	m.reg.GaugeFunc("nnwc_registry_warm_models",
+		"Model instances currently loaded in the registry's LRU cache.",
+		func() float64 { return float64(models.WarmCount()) })
+	m.reg.GaugeFunc("nnwc_batch_groups",
+		"Active cross-tenant coalescing domains (distinct network shapes).",
+		func() float64 { return float64(batcher.GroupCount()) })
+	m.reg.CounterFunc("nnwc_batch_holds_total",
+		"Lone rows held up to MaxWait for batch-mates (only while their group is coalescing).",
+		batcher.Holds)
+	m.reg.CounterFunc("nnwc_batch_holds_joined_total",
+		"Held lone rows that found a batch-mate before MaxWait expired.",
+		batcher.HoldsJoined)
 	return m
 }
 

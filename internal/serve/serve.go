@@ -77,8 +77,10 @@ type Config struct {
 	// 64). 1 disables coalescing — every request is its own forward call.
 	MaxBatch int
 	// MaxWait bounds the extra latency a request can pay waiting for
-	// batch-mates (default 2ms). 0 means gather only what is already
-	// queued.
+	// batch-mates (default 0; nnwc serve passes 2ms). A lone row is held
+	// only while its batch domain is coalescing — its previous batch
+	// found company — so an idle server adds no wait. 0 means gather only
+	// what is already queued.
 	MaxWait time.Duration
 	// RequestTimeout bounds one prediction end to end (default 5s).
 	RequestTimeout time.Duration
@@ -168,11 +170,6 @@ func New(cfg Config) (*Server, error) {
 		tenantPaths: make(map[string]string),
 		serveErr:    make(chan error, 1),
 	}
-	s.metrics = newMetricsRegistry(
-		func() float64 { return float64(s.reg.WarmCount()) },
-		func() float64 { return float64(s.batcher.GroupCount()) },
-	)
-	s.ctl = deploy.New(s.reg, cfg.Deploy, s.onFleetEvent)
 	s.batcher = batch.New(batch.Config{
 		MaxBatch:   cfg.MaxBatch,
 		MaxWait:    cfg.MaxWait,
@@ -180,6 +177,8 @@ func New(cfg Config) (*Server, error) {
 		Workers:    cfg.Workers,
 		PerModel:   cfg.PerModelBatching,
 	}, s.runBatch)
+	s.metrics = newMetricsRegistry(s.reg, s.batcher)
+	s.ctl = deploy.New(s.reg, cfg.Deploy, s.onFleetEvent)
 
 	if cfg.ModelPath != "" {
 		s.tenantPaths[DefaultSingleTenant] = cfg.ModelPath

@@ -27,7 +27,7 @@ var testClient = &http.Client{Timeout: 10 * time.Second}
 
 // trainTestModel fits a small 2→2 model on a smooth function — fast enough
 // for a unit test, real enough to exercise scalers and the batched path.
-func trainTestModel(t *testing.T, seed uint64) *core.NNModel {
+func trainTestModel(t testing.TB, seed uint64) *core.NNModel {
 	t.Helper()
 	ds := workload.NewDataset([]string{"a", "b"}, []string{"u", "v"})
 	for i := 0; i < 40; i++ {
@@ -48,7 +48,7 @@ func trainTestModel(t *testing.T, seed uint64) *core.NNModel {
 }
 
 // writeTestModel persists a freshly trained model and returns its path.
-func writeTestModel(t *testing.T, dir string, seed uint64) string {
+func writeTestModel(t testing.TB, dir string, seed uint64) string {
 	t.Helper()
 	path := filepath.Join(dir, fmt.Sprintf("model-%d.json", seed))
 	if err := trainTestModel(t, seed).SaveFile(path); err != nil {
@@ -57,7 +57,7 @@ func writeTestModel(t *testing.T, dir string, seed uint64) string {
 	return path
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -725,6 +725,9 @@ func TestMetricsSchema(t *testing.T) {
 		`nnwc_fleet_events_total{model="default",action="deploy"} 1`,
 		`nnwc_registry_warm_models 1`,
 		`nnwc_batch_groups 1`,
+		// Sequential requests never find company, so none is held.
+		"# TYPE nnwc_batch_holds_total counter\nnnwc_batch_holds_total 0\n",
+		"# TYPE nnwc_batch_holds_joined_total counter\nnnwc_batch_holds_joined_total 0\n",
 		`nnwc_http_request_ms_count{service="serve",route="POST /predict"}`,
 		`nnwc_model_loaded_timestamp_seconds`,
 		`nnwc_model_info{path=`,
