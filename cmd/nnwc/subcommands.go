@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -90,6 +91,21 @@ func loadDataset(path string) (*workload.Dataset, error) {
 	return workload.ReadCSV(f)
 }
 
+// writeFile creates path and fills it through write, then closes it. It
+// returns the first error of those steps, so a result file whose write or
+// close failed is never reported as written.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func loadModel(path string) (*core.NNModel, error) {
 	return core.LoadModelFile(path)
 }
@@ -160,12 +176,7 @@ func cmdDatagen(args []string) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := ds.WriteCSV(f); err != nil {
+		if err := writeFile(*out, ds.WriteCSV); err != nil {
 			return err
 		}
 		obsf.metric("samples", float64(ds.Len()))
@@ -419,12 +430,9 @@ func cmdSurface(args []string) error {
 		a := surface.Classify(grid)
 		fmt.Printf("shape: %s — %s\n", a.Shape, a.Advice)
 		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return plot.WriteSurfaceCSV(f, xs, ys, grid.Z)
+			return writeFile(*csvOut, func(w io.Writer) error {
+				return plot.WriteSurfaceCSV(w, xs, ys, grid.Z)
+			})
 		}
 		return nil
 	}())

@@ -100,6 +100,6 @@ Reading the table like the paper does:
  - the linear model's interpolation error is the §1 motivation: it cannot
    bend around the valleys and hills, so the MLP beats it severalfold;
  - every model suffers out of range (§5.3: "neural network models cannot
-   be used for extrapolation"); the logarithmic variants degrade the most
-   gracefully, which is why §7 points at them as future work.`)
+   be used for extrapolation"); §7 proposes the logarithmic variants as
+   future work, so read their out-of-range column before trusting them.`)
 }

@@ -63,6 +63,14 @@ type Context struct {
 	dataset *workload.Dataset
 	cv      *core.CVResult
 	full    *core.NNModel
+	truth   map[truthKey][]float64 // simulated indicators; see groundTruth
+}
+
+// truthKey names one ground-truth simulation. Like the other caches, its
+// result depends only on the key: the configuration and the seed.
+type truthKey struct {
+	cfg  threetier.Config
+	seed uint64
 }
 
 // New returns a Context with the experiment defaults: the full sweep, the
@@ -110,6 +118,43 @@ func (c *Context) Dataset() (*workload.Dataset, error) {
 		c.dataset = ds
 	}
 	return c.dataset, nil
+}
+
+// groundTruth returns the simulated indicators of each key, in request
+// order. Keys the context has not simulated yet run concurrently on the
+// context's workers, once each even when a request repeats them; every
+// later request for them is a cache hit. Figures 4, 7 and 8 probe the
+// same runs and differ only in the indicator they read.
+func (c *Context) groundTruth(keys []truthKey) ([][]float64, error) {
+	if c.truth == nil {
+		c.truth = make(map[truthKey][]float64)
+	}
+	var missing []truthKey
+	queued := make(map[truthKey]bool)
+	for _, k := range keys {
+		if _, ok := c.truth[k]; !ok && !queued[k] {
+			queued[k] = true
+			missing = append(missing, k)
+		}
+	}
+	ran, err := sched.Map(c.workers(), len(missing), func(i int) ([]float64, error) {
+		m, err := threetier.Run(missing[i].cfg, c.Sys, missing[i].seed)
+		if err != nil {
+			return nil, err
+		}
+		return m.Indicators(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, k := range missing {
+		c.truth[k] = ran[i]
+	}
+	out := make([][]float64, len(keys))
+	for i, k := range keys {
+		out[i] = c.truth[k]
+	}
+	return out, nil
 }
 
 // workers resolves the context's parallelism bound.

@@ -66,7 +66,8 @@ func (c *Context) extrapolationAnalytic() error {
 	}
 
 	c.printf("Extrapolation A — analytic M/M/%d response time (train λ∈[100,380], test λ∈[400,450])\n", 16)
-	if err := c.extrapolationTable(trainDS, testDS, "extrapolation_analytic.csv"); err != nil {
+	if err := c.extrapolationTable(trainDS, testDS, "extrapolation_analytic.csv",
+		"The LNN's low ratio comes from a loose in-range fit: its out-of-range error is among the largest, so neither logarithmic variant degrades most gracefully."); err != nil {
 		return err
 	}
 	return nil
@@ -94,14 +95,16 @@ func (c *Context) extrapolationWorkload() error {
 		return err
 	}
 	c.printf("Extrapolation B — three-tier workload (train rate∈[400,560], test rate∈{600,640})\n")
-	return c.extrapolationTable(trainDS, testDS, "extrapolation_workload.csv")
+	return c.extrapolationTable(trainDS, testDS, "extrapolation_workload.csv",
+		"The logarithmic variants are no remedy here: both degrade more steeply than the cubic polynomial.")
 }
 
 // extrapolationTable fits every family on trainDS and reports in-range
-// (trainDS) vs out-of-range (testDS) error. Families fit concurrently;
+// (trainDS) vs out-of-range (testDS) error, then the reading of the table
+// that its part adds to the common one. Families fit concurrently;
 // printing replays the results in family order, failures first, exactly
 // as the serial loop emitted them.
-func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact string) error {
+func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact, reading string) error {
 	type rowOut struct {
 		name    string
 		failed  bool
@@ -145,7 +148,7 @@ func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact
 		}
 		c.printf("%-16s %13.1f%% %13.1f%% %7.1fx\n", r.name, r.in*100, r.out*100, ratio)
 	}
-	c.printf("(expected shape: every model degrades out of range; the sigmoid MLP degrades hardest, the logarithmic variants most gracefully)\n\n")
+	c.printf("(reading: every model degrades out of range, and the sigmoid MLP's ratio is among the two steepest, as §5.3 warns. %s)\n\n", reading)
 
 	return c.writeArtifact(artifact, func(w io.Writer) error {
 		fmt.Fprintln(w, "model,in_range_error,out_range_error")

@@ -50,11 +50,11 @@ func (c *Context) RunRecommend() error {
 		MfgThreads:     int(best.X[featMfg] + 0.5),
 		WebThreads:     int(best.X[featWeb] + 0.5),
 	}
-	m, err := threetier.Run(cfg, c.Sys, c.Seed+10)
+	truth, err := c.groundTruth([]truthKey{{cfg, c.Seed + 10}})
 	if err != nil {
 		return err
 	}
-	ind := m.Indicators()
+	ind := truth[0]
 	c.printf("  simulated: mfg=%.1fms pur=%.1fms man=%.1fms brw=%.1fms eff=%.1f tx/s\n",
 		ind[0], ind[1], ind[2], ind[3], ind[4])
 

@@ -6,7 +6,6 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/plot"
-	"nnwc/internal/sched"
 	"nnwc/internal/stats"
 	"nnwc/internal/surface"
 	"nnwc/internal/threetier"
@@ -114,40 +113,30 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 
 	// Overlay the paper's "dots": ground truth from the simulator at a
 	// coarse subgrid, to report how far the surface sits from reality.
-	// Probe simulations run concurrently — each probe's seed derives from
-	// its grid coordinates, not its schedule — and the predictions go
-	// through one batch.
-	type probe struct{ dv, wv float64 }
-	var probeList []probe
+	// Each probe's seed derives from its grid coordinates, so the three
+	// figures share their probe runs through the context's ground-truth
+	// cache, and the predictions go through one batch.
+	var keys []truthKey
+	var probes [][]float64
 	for _, dv := range subsample(sl.XValues, 3) {
 		for _, wv := range subsample(sl.YValues, 3) {
-			probeList = append(probeList, probe{dv, wv})
+			cfg := threetier.Config{
+				InjectionRate:  sl.Fixed[featRate],
+				DefaultThreads: int(dv + 0.5),
+				MfgThreads:     int(sl.Fixed[featMfg] + 0.5),
+				WebThreads:     int(wv + 0.5),
+			}
+			keys = append(keys, truthKey{cfg, c.Seed + uint64(dv*100+wv)})
+			probes = append(probes, cfg.Vector())
 		}
 	}
-	actual, err := sched.Map(c.workers(), len(probeList), func(i int) (float64, error) {
-		cfg := threetier.Config{
-			InjectionRate:  sl.Fixed[featRate],
-			DefaultThreads: int(probeList[i].dv + 0.5),
-			MfgThreads:     int(sl.Fixed[featMfg] + 0.5),
-			WebThreads:     int(probeList[i].wv + 0.5),
-		}
-		m, err := threetier.Run(cfg, c.Sys, c.Seed+uint64(probeList[i].dv*100+probeList[i].wv))
-		if err != nil {
-			return 0, err
-		}
-		return m.Indicators()[output], nil
-	})
+	truth, err := c.groundTruth(keys)
 	if err != nil {
 		return err
 	}
-	probes := make([][]float64, len(probeList))
-	for i, p := range probeList {
-		probes[i] = threetier.Config{
-			InjectionRate:  sl.Fixed[featRate],
-			DefaultThreads: int(p.dv + 0.5),
-			MfgThreads:     int(sl.Fixed[featMfg] + 0.5),
-			WebThreads:     int(p.wv + 0.5),
-		}.Vector()
+	actual := make([]float64, len(truth))
+	for i, ind := range truth {
+		actual[i] = ind[output]
 	}
 	var predicted []float64
 	for _, out := range core.PredictAll(model, probes) {

@@ -217,3 +217,25 @@ func BenchmarkForward4x16x5(b *testing.B) {
 		n.Forward(x)
 	}
 }
+
+// TestLogCompressNetworkGrowsOutsideRange pins the property that makes a
+// LogCompress-hidden network a logarithmic neural network (Hines 1996):
+// far beyond any training range its response keeps moving, log-slowly,
+// where a sigmoid network's saturates to a constant.
+func TestLogCompressNetworkGrowsOutsideRange(t *testing.T) {
+	src := rng.New(3)
+	logNet := NewNetwork([]int{1, 8, 1}, LogCompress{}, Identity{})
+	XavierInit{}.Init(logNet, src.Split())
+	sigNet := NewNetwork([]int{1, 8, 1}, Logistic{Alpha: 1}, Identity{})
+	XavierInit{}.Init(sigNet, src.Split())
+
+	deltaAt := func(net *Network, x float64) float64 {
+		return math.Abs(net.Forward([]float64{x * 2})[0] - net.Forward([]float64{x})[0])
+	}
+	if d := deltaAt(sigNet, 1e6); d > 1e-9 {
+		t.Fatalf("sigmoid net still moving at 1e6: %v", d)
+	}
+	if d := deltaAt(logNet, 1e6); d == 0 {
+		t.Fatal("logarithmic net saturated like a sigmoid")
+	}
+}

@@ -176,6 +176,11 @@ type stage struct {
 	pool    Pool
 	cpuMean float64 // seconds of CPU demand at nominal speed
 	dbMean  float64 // seconds of database time while holding the thread
+
+	// cpu and db are the two phases' service-time distributions. The
+	// profile table leaves them zero; NewSimulator fills in its own copy
+	// from the means and SystemParams' variations.
+	cpu, db lognormal
 }
 
 // classProfile describes one transaction class: its share of the mix, its

@@ -103,58 +103,62 @@ type event struct {
 	req  *request
 }
 
-// eventHeap is a binary min-heap of events ordered by (time, seq). push
-// and pop sift exactly as container/heap's up and down do, so the backing
-// array matches container/heap's after every operation (censored walks it
-// in array order); being typed, they avoid boxing each event in an
-// interface.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
+// before orders events by (time, seq).
+func before(a, b *event) bool {
 	//lint:waive floateq -- event heap needs an exact time tie-break for a deterministic total order
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
+
+// eventHeap is a binary min-heap of events ordered by (time, seq). push
+// and pop make the same comparisons as container/heap's up and down, but
+// sift a hole instead of swapping: each parent or child the sifted event
+// passes moves into the hole, and the event is placed once where the sift
+// stops. The slot every event ends in is the one container/heap's swaps
+// leave it in, so the backing array matches container/heap's after every
+// operation (censored walks it in array order). Being typed, the heap
+// also avoids boxing each event in an interface.
+type eventHeap []event
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	q := *h
 	j := len(q) - 1
-	for {
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
+		if !before(&e, &q[i]) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = e
 }
 
 func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
+	top, x := q[0], q[n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1 // left child
+		if j >= n {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+		if j2 := j + 1; j2 < n && before(&q[j2], &q[j]) {
 			j = j2 // right child
 		}
-		if !q.less(j, i) {
+		if !before(&q[j], &x) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
-	e := q[n]
+	q[i] = x
 	*h = q[:n]
-	return e
+	return top
 }
 
 func (h eventHeap) peekTime() float64 { return h[0].time }
@@ -222,6 +226,12 @@ type Simulator struct {
 	busyCPU       int // requests currently in their CPU phase
 	dbOutstanding int
 
+	// stretch is the holding-time inflation caused by every configured
+	// worker thread: context switches, cache pressure, and lock/connection
+	// contention stretch both the CPU and the database phases. It is
+	// constant per configuration.
+	stretch float64
+
 	// measurement accumulators
 	rtSamples   [NumClasses][]float64
 	waitSum     [NumClasses][NumPools]float64
@@ -254,11 +264,20 @@ func NewSimulator(cfg Config, sys SystemParams, src *rng.Source) (*Simulator, er
 		profiles: profiles(),
 		src:      src,
 	}
-	if sys.Mix != nil {
-		for c := range s.profiles {
+	for c := range s.profiles {
+		if sys.Mix != nil {
 			s.profiles[c].mix = sys.Mix[c]
 		}
+		for i := range s.profiles[c].stages {
+			st := &s.profiles[c].stages[i]
+			st.cpu = newLognormal(st.cpuMean, sys.CPUVariation)
+			if st.dbMean > 0 { // stages without a database call never sample one
+				st.db = newLognormal(st.dbMean, sys.DBVariation)
+			}
+		}
 	}
+	total := cfg.MfgThreads + cfg.WebThreads + cfg.DefaultThreads
+	s.stretch = 1 + sys.ThreadOverhead*float64(total)
 	s.pools[MfgPool] = &pool{threads: cfg.MfgThreads}
 	s.pools[WebPool] = &pool{threads: cfg.WebThreads}
 	s.pools[DefaultPool] = &pool{threads: cfg.DefaultThreads}
@@ -387,13 +406,12 @@ func (s *Simulator) enqueue(r *request) {
 // schedules its completion. The thread is already held.
 func (s *Simulator) startCPU(r *request) {
 	r.heldAt = s.now
+	st := &s.profiles[r.class].stages[r.stageIdx]
 	if r.measured {
-		st := s.profiles[r.class].stages[r.stageIdx]
 		s.waitSum[r.class][st.pool] += s.now - r.queuedAt
 	}
-	st := s.profiles[r.class].stages[r.stageIdx]
 	s.busyCPU++
-	base := s.sampleTime(st.cpuMean, s.sys.CPUVariation)
+	base := st.cpu.draw(s.src)
 	slow := s.cpuSlowdown()
 	s.schedule(s.now+base*slow, evCPUDone, r)
 }
@@ -405,36 +423,28 @@ func (s *Simulator) cpuSlowdown() float64 {
 	if s.busyCPU > s.sys.Cores {
 		contention = float64(s.busyCPU) / float64(s.sys.Cores)
 	}
-	return contention * s.threadStretch()
-}
-
-// threadStretch is the holding-time inflation caused by every configured
-// worker thread: context switches, cache pressure, and lock/connection
-// contention stretch both the CPU and the database phases.
-func (s *Simulator) threadStretch() float64 {
-	total := s.cfg.MfgThreads + s.cfg.WebThreads + s.cfg.DefaultThreads
-	return 1 + s.sys.ThreadOverhead*float64(total)
+	return contention * s.stretch
 }
 
 func (s *Simulator) onCPUDone(r *request) {
 	s.busyCPU--
-	st := s.profiles[r.class].stages[r.stageIdx]
+	st := &s.profiles[r.class].stages[r.stageIdx]
 	if st.dbMean <= 0 {
 		s.onStageDone(r)
 		return
 	}
 	// Database call made while holding the worker thread.
-	stretch := s.threadStretch()
+	stretch := s.stretch
 	if s.dbOutstanding > s.sys.DBSoftLimit {
 		stretch += s.sys.DBSlowdown * float64(s.dbOutstanding-s.sys.DBSoftLimit)
 	}
 	s.dbOutstanding++
-	d := s.sampleTime(st.dbMean, s.sys.DBVariation) * stretch
+	d := st.db.draw(s.src) * stretch
 	s.schedule(s.now+d, evStageDone, r)
 }
 
 func (s *Simulator) onStageDone(r *request) {
-	st := s.profiles[r.class].stages[r.stageIdx]
+	st := &s.profiles[r.class].stages[r.stageIdx]
 	if st.dbMean > 0 {
 		s.dbOutstanding--
 	}
@@ -481,15 +491,29 @@ func (s *Simulator) userDone() {
 	s.schedule(s.now+s.src.Exp(1/s.cfg.ThinkTime), evArrival, nil)
 }
 
-// sampleTime draws a lognormal service time with the given mean and
-// coefficient of variation.
-func (s *Simulator) sampleTime(mean, cv float64) float64 {
+// lognormal is a service-time distribution with a given mean: lognormal
+// with parameters (mu, sigma) when it varies, the constant mean when not.
+type lognormal struct {
+	mean, mu, sigma float64
+	varies          bool
+}
+
+// newLognormal returns the lognormal with the given mean and coefficient
+// of variation; cv <= 0 gives the constant mean.
+func newLognormal(mean, cv float64) lognormal {
 	if cv <= 0 {
-		return mean
+		return lognormal{mean: mean}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return s.src.LogNormal(mu, math.Sqrt(sigma2))
+	return lognormal{mean: mean, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2), varies: true}
+}
+
+// draw samples a service time; the constant distribution draws nothing.
+func (d lognormal) draw(src *rng.Source) float64 {
+	if !d.varies {
+		return d.mean
+	}
+	return src.LogNormal(d.mu, d.sigma)
 }
 
 func (s *Simulator) collect(drainEnd float64) *Metrics {
