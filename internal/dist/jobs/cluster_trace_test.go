@@ -127,7 +127,7 @@ func TestDistClusterTraceSurvivesKill(t *testing.T) {
 	killPath := filepath.Join(t.TempDir(), dist.ClusterTraceFileName)
 	c := newSleepCoordinator(t, killPath, n)
 	victim := spawnWorker(t, c.Addr(), "NNWC_DIST_HANG=1")
-	waitProgress(t, c.Addr(), 2)
+	waitLeases(t, c, 2)
 	victim.Process.Kill()
 	victim.Wait()
 	spawnWorker(t, c.Addr())

@@ -117,6 +117,21 @@ func waitProgress(t *testing.T, addr string, want int) {
 	t.Fatalf("coordinator never reached %d completed tasks", want)
 }
 
+// waitLeases polls c until it has granted at least want leases. The
+// fault tests' wedging worker completes its first lease (tasks 0-1) and
+// hangs inside its second (tasks 2-3), so waiting for two grants before
+// the SIGKILL makes the kill land while that lease is held; killed any
+// earlier it may hold none, and nothing would be reassigned.
+func waitLeases(t *testing.T, c *dist.Coordinator, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if c.CoordStats().Leases >= want {
+			return
+		}
+	}
+	t.Fatalf("coordinator never granted %d leases", want)
+}
+
 // The seed-reference constants from internal/core/seedref_test.go: the
 // pinned Table-2 numbers for CrossValidate(syntheticDataset(120,42),
 // fastConfig(), 4, 7). The distributed plane must land on the same bits.
@@ -306,9 +321,9 @@ func TestDistWorkerKilledMidLease(t *testing.T) {
 	}
 
 	// The wedging worker completes tasks 0 and 1, then hangs on task 2
-	// while holding its lease. Kill it once the first results are in.
+	// while holding its lease. Kill it once that lease is granted.
 	victim := spawnWorker(t, c.Addr(), "NNWC_DIST_HANG=1")
-	waitProgress(t, c.Addr(), 2)
+	waitLeases(t, c, 2)
 	victim.Process.Kill()
 	victim.Wait()
 

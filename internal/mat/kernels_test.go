@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"testing"
 
 	"nnwc/internal/rng"
@@ -204,16 +205,28 @@ func TestKernelShapePanics(t *testing.T) {
 	})
 }
 
-func BenchmarkMulTransBias128x16x16(b *testing.B) {
-	src := rng.New(16)
-	a := randMatrix(src, 128, 16)
-	w := randMatrix(src, 16, 16)
-	bias := make([]float64, 16)
-	dst := &Matrix{}
-	MulTransBiasInto(dst, a, w, bias)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulTransBiasInto(dst, a, w, bias)
+// BenchmarkMulTransBias times dst = A·Bᵀ + bias at rows×inner×cols and
+// reports GFLOP/s, counting 2·rows·inner·cols flops per product. 128×2×10
+// is the experiment plane's batch·features·hidden product, 128×16×16 a
+// hidden layer at a typical batch, and the larger two are where cache
+// blocking starts to matter.
+func BenchmarkMulTransBias(b *testing.B) {
+	for _, s := range [][3]int{{128, 2, 10}, {128, 16, 16}, {256, 32, 32}, {512, 64, 64}} {
+		rows, inner, cols := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", rows, inner, cols), func(b *testing.B) {
+			src := rng.New(uint64(rows*1000003 + inner*1009 + cols))
+			a := randMatrix(src, rows, inner)
+			w := randMatrix(src, cols, inner)
+			bias := make([]float64, cols)
+			dst := &Matrix{}
+			MulTransBiasInto(dst, a, w, bias)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulTransBiasInto(dst, a, w, bias)
+			}
+			flops := 2 * float64(rows*inner*cols) * float64(b.N)
+			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
 	}
 }

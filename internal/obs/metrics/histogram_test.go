@@ -176,3 +176,15 @@ func TestHistogramFuncRendersMergedView(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHistogramObserve times one observation on DefMillisBuckets
+// (bucket search plus counter bump under the histogram's mutex): what the
+// httpx request middleware and a dist worker pay per sample.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram("bench_ms", "observe cost probe", DefMillisBuckets)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i % 50000))
+	}
+}

@@ -107,10 +107,6 @@ type Config struct {
 	// RequestTimeout; a request that cannot finish inside the budget is
 	// shed with 429 so queue pressure relieves itself (default 0: off).
 	LatencyBudget time.Duration
-	// PerModelBatching keys batch domains by tenant@version instead of
-	// network shape — every model coalesces alone. The configuration the
-	// fleet replaces; kept so servebench can measure both.
-	PerModelBatching bool
 	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
 	// Trace, when set, receives registry and deployment events
@@ -175,7 +171,6 @@ func New(cfg Config) (*Server, error) {
 		MaxWait:    cfg.MaxWait,
 		QueueDepth: cfg.QueueDepth,
 		Workers:    cfg.Workers,
-		PerModel:   cfg.PerModelBatching,
 	}, s.runBatch)
 	s.metrics = newMetricsRegistry(s.reg, s.batcher)
 	s.ctl = deploy.New(s.reg, cfg.Deploy, s.onFleetEvent)

@@ -29,6 +29,13 @@ var testClient = &http.Client{Timeout: 10 * time.Second}
 // for a unit test, real enough to exercise scalers and the batched path.
 func trainTestModel(t testing.TB, seed uint64) *core.NNModel {
 	t.Helper()
+	return trainHiddenModel(t, seed, 6)
+}
+
+// trainHiddenModel is trainTestModel with hidden nodes in its one hidden
+// layer, so tests can build tenants of distinct shapes.
+func trainHiddenModel(t testing.TB, seed uint64, hidden int) *core.NNModel {
+	t.Helper()
 	ds := workload.NewDataset([]string{"a", "b"}, []string{"u", "v"})
 	for i := 0; i < 40; i++ {
 		a := float64(i%8) - 4
@@ -40,7 +47,7 @@ func trainTestModel(t testing.TB, seed uint64) *core.NNModel {
 	}
 	tc := train.DefaultConfig()
 	tc.MaxEpochs = 150
-	model, err := core.Fit(ds, core.Config{Hidden: []int{6}, Train: &tc, Seed: seed})
+	model, err := core.Fit(ds, core.Config{Hidden: []int{hidden}, Train: &tc, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +277,7 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 }
 
 // TestCrossTenantCoalescing: two tenants whose networks share a topology
-// land in ONE batch domain and fill batches together; per-model batching
-// splits them into separate domains.
+// land in ONE batch domain and fill batches together.
 func TestCrossTenantCoalescing(t *testing.T) {
 	dir := t.TempDir()
 	models := map[string]string{
@@ -321,18 +327,6 @@ func TestCrossTenantCoalescing(t *testing.T) {
 	}
 	if batches >= 2*perTenant {
 		t.Fatalf("batches = %d for %d requests — no cross-tenant coalescing", batches, 2*perTenant)
-	}
-
-	// Per-model mode: same fleet, separate domains.
-	s2, ts2 := newTestServer(t, Config{Models: models, PerModelBatching: true})
-	for _, tenant := range []string{"web", "db"} {
-		resp, _, raw := postPredict(t, ts2.URL, PredictRequest{Model: tenant, X: []float64{1, 1}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tenant, resp.StatusCode, raw)
-		}
-	}
-	if groups := s2.batcher.GroupCount(); groups != 2 {
-		t.Fatalf("per-model batching created %d groups, want 2", groups)
 	}
 }
 
